@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .presentation import Word, Presentation, ROTATION, make_presentation
 from .coset_enum import enumerate_cosets, coset_action, DEFAULT_MAX_COSETS
-from .permgroup import Perm, word_image, build_chain
+# build_chain is unused here, but perfbench/tracing.py installs a span at it
+from .permgroup import word_image, orbit, build_chain  # noqa: F401
 
 
 class RotationViolation(Exception):
@@ -67,17 +66,8 @@ class RotationGroup:
         cached = self._orbits.get(key)
         if cached is not None:
             return cached
-        images = [word_image(self.gens, w).images for w in key]
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            p = frontier.pop()
-            for img in images:
-                q = int(img[p])
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-        result = frozenset(seen)
+        result = frozenset(
+            orbit([word_image(self.gens, w) for w in key], 0))
         self._orbits[key] = result
         return result
 
@@ -150,20 +140,7 @@ def is_chiral(group):
     for w in group.pres.relators:
         if not word_image(images, w).is_identity():
             return True
-    arrays = [p.images for p in images]
-    seen = np.zeros(group.order, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    count = 1
-    while frontier:
-        p = frontier.pop()
-        for img in arrays:
-            q = int(img[p])
-            if not seen[q]:
-                seen[q] = True
-                count += 1
-                frontier.append(q)
-    return count != group.order
+    return len(orbit(images, 0)) != group.order
 
 
 def enantiomorph(group):
@@ -178,22 +155,31 @@ def enantiomorph(group):
         declared_schlafli=group.pres.declared_schlafli,
     )
     out = build_rotation_group(pres, group.max_cosets)
-    assert out.order == group.order, "mirror image changed the group order"
+    if out.order != group.order:
+        raise RotationViolation("mirror image changed the group order")
     return out
 
 
 def mix_order(g, h):
     """Order of the mix: the subgroup of the direct product generated by
-    the paired generators (s_i(g), s_i(h)), acting on the two regular
-    domains side by side."""
+    the paired generators (s_i(g), s_i(h)).
+
+    The mix projects onto g with kernel K, the normal closure in h of g's
+    relators, so its order is |g| |K|.  K's elements are the orbit of 0
+    under the relator images in h, closed under conjugation by h's
+    generators: a conjugate that leaves the orbit joins the list.
+    """
     if g.pres.num_generators != h.pres.num_generators:
         raise ValueError("mix needs equal generator counts")
-    off = g.order
-    pairs = [
-        Perm(np.concatenate((a.images, b.images + off)))
-        for a, b in zip(g.gens, h.gens)
-    ]
-    return build_chain(pairs).order
+    normal = [word_image(h.gens, w) for w in g.pres.relators]
+    kernel = orbit(normal, 0)
+    for s in normal:  # the list grows while it is walked
+        for t in h.gens:
+            c = t.inverse() * s * t
+            if c(0) not in kernel:
+                normal.append(c)
+                kernel = orbit(normal, 0)
+    return g.order * len(kernel)
 
 
 def mixed_regular_cover_flags(group):
@@ -222,11 +208,9 @@ def _stabilizer_words(group, i):
 
 
 def chiral_counts(group):
-    """(vertices, facets) as indices of the base-face stabilizers."""
-    vertices = group.order // len(group.word_orbit(_stabilizer_words(group, 0)))
-    facets = group.order // len(
-        group.word_orbit(_stabilizer_words(group, group.rank - 1)))
-    return vertices, facets
+    """(vertices, facets): the ends of the f-vector."""
+    f = chiral_f_vector(group)
+    return f[0], f[-1]
 
 
 def chiral_f_vector(group):
@@ -435,7 +419,8 @@ def rotation_torus_map(kind, b, c, max_cosets=DEFAULT_MAX_COSETS):
             num_generators=m, kind=ROTATION, relators=relators,
             declared_schlafli=tuple(reversed(sym)) if sym else None)
         out = build_rotation_group(pres, max_cosets)
-        assert out.order == inner.order, "dual changed the group order"
+        if out.order != inner.order:
+            raise RotationViolation("dual changed the group order")
         return out
     s1, s2 = Word.gen(0), Word.gen(1)
     if kind == "44":

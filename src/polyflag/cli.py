@@ -344,13 +344,17 @@ def cmd_verify(args):
 
 
 def build_parser():
+    raw = os.environ.get(ENV_MAX_COSETS, str(DEFAULT_MAX_COSETS))
+    try:
+        max_cosets = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"{ENV_MAX_COSETS} is not an integer: {raw!r}") from None
     parser = argparse.ArgumentParser(
         prog="polyflag",
         description="regular and chiral polytope analysis from group "
                     "presentations")
-    parser.add_argument("--max-cosets", type=int,
-                        default=int(os.environ.get(ENV_MAX_COSETS,
-                                                   DEFAULT_MAX_COSETS)),
+    parser.add_argument("--max-cosets", type=int, default=max_cosets,
                         help="enumeration size limit (env "
                              f"{ENV_MAX_COSETS})")
     parser.add_argument("--json", action="store_true",
@@ -381,8 +385,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PresentationError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -5,11 +5,15 @@ apply p, then q.  That matches the way words trace through coset tables,
 so the permutation of a word is the product of its letter images in
 reading order.
 
-Stabilizer chains are built with the deterministic Schreier-Sims scheme:
-base points are chosen as the smallest point moved by the generator that
-forces a new level, and every Schreier generator is sifted through the
-chain below before being admitted, so two runs on the same generators
-produce the same base and the same transversals.
+``orbit`` is the library's one orbit engine: in a regular representation
+the orbit of point 0 is the element set of the subgroup the given elements
+generate.  Stabilizer chains, ``membership_test`` and
+``intersect_subgroups`` are independent oracles for the tests; no runtime
+path builds a chain.  Chains are built with the deterministic
+Schreier-Sims scheme: base points are chosen as the smallest point moved
+by the generator that forces a new level, and every Schreier generator is
+sifted through the chain below before being admitted, so two runs on the
+same generators produce the same base and the same transversals.
 """
 
 from __future__ import annotations
@@ -116,19 +120,20 @@ def word_image(gens, word):
 
 
 def orbit(gens, start):
-    """The orbit of a point under a generator list, as a set."""
+    """The orbit of a point under a generator list ({start} if empty)."""
     degree = gens[0].degree if gens else None
     for g in gens:
         if g.degree != degree:
             raise DegreeMismatch("generators act on different degrees")
     if degree is not None and not 0 <= start < degree:
         raise IndexError(f"point {start} outside degree {degree}")
+    images = [g.images for g in gens]
     seen = {start}
     frontier = [start]
     while frontier:
         p = frontier.pop()
-        for g in gens:
-            q = int(g.images[p])
+        for img in images:
+            q = int(img[p])
             if q not in seen:
                 seen.add(q)
                 frontier.append(q)

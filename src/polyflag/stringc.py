@@ -19,6 +19,7 @@ from itertools import combinations
 
 from .presentation import Word, Presentation, REFLECTION
 from .coset_enum import enumerate_cosets, coset_action, DEFAULT_MAX_COSETS
+from .permgroup import orbit
 
 
 class SggiViolation(Exception):
@@ -73,17 +74,7 @@ class StringGroup:
         cached = self._orbits.get(key)
         if cached is not None:
             return cached
-        images = [self.gens[i].images for i in sorted(key)]
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            p = frontier.pop()
-            for img in images:
-                q = int(img[p])
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-        result = frozenset(seen)
+        result = frozenset(orbit([self.gens[i] for i in sorted(key)], 0))
         self._orbits[key] = result
         return result
 

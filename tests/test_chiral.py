@@ -4,11 +4,14 @@ import math
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from polyflag.presentation import (Word, Presentation, make_presentation,
                                    REFLECTION, ROTATION)
 from polyflag.constructions import coxeter, torus_map
 from polyflag.analysis import analyze
+from polyflag import chiral
+from polyflag.permgroup import orbit, word_image
 from polyflag.chiral import (
     RotationViolation, build_rotation_group, is_chiral, enantiomorph,
     mix_order, mixed_regular_cover_flags, chiral_counts, chiral_f_vector,
@@ -129,6 +132,43 @@ def test_mix_order_lattice_oracle():
     assert mix_order(group, rotation_torus_map("44", 2, 1)) == 100
 
 
+def _sympy_mix_order(g, h):
+    """Order of the paired generators acting on the disjoint union of the
+    two regular domains, computed by sympy."""
+    off = g.order
+    pairs = [Permutation(a.images.tolist()
+                         + [off + int(x) for x in b.images])
+             for a, b in zip(g.gens, h.gens)]
+    return PermutationGroup(pairs).order()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rotation_torus_map("44", 1, 2),
+    lambda: rotation_torus_map("44", 1, 3),
+    lambda: rotation_torus_map("36", 1, 2),
+    lambda: rotation_torus_map("63", 2, 1),
+    lambda: rotation_torus_map("44", 2, 0),
+    rot338,
+], ids=["44-1-2", "44-1-3", "36-1-2", "63-2-1", "44-2-0", "rotation-338"])
+def test_mix_order_matches_sympy(build):
+    group = build()
+    mirror = enantiomorph(group)
+    order = mix_order(group, mirror)
+    assert order == _sympy_mix_order(group, mirror)
+    assert mix_order(mirror, group) == order
+
+
+def test_mix_order_needs_the_normal_closure():
+    # s2^3 is a relator of the cube's rotation group; in {4,4}_(1,2) it
+    # generates a non-normal C4, so the kernel needs its conjugates too
+    cube = build_rotation_group(make_presentation(ROTATION, 3, [4, 3]))
+    torus = rotation_torus_map("44", 1, 2)
+    images = [word_image(torus.gens, w) for w in cube.pres.relators]
+    assert cube.order * len(orbit(images, 0)) == 96
+    assert mix_order(cube, torus) == mix_order(torus, cube) == 480
+    assert _sympy_mix_order(cube, torus) == 480
+
+
 def test_mix_rejects_generator_count_mismatch():
     with pytest.raises(ValueError):
         mix_order(rotation_torus_map("44", 1, 2), rot338())
@@ -145,6 +185,36 @@ def test_mixed_cover_of_chiral_map():
 def test_mixed_cover_of_regular_map_is_itself():
     group = rotation_torus_map("44", 2, 0)
     assert mixed_regular_cover_flags(group) == group.flag_count() == 32
+
+
+def test_enantiomorph_order_change_raises(monkeypatch):
+    group = rotation_torus_map("44", 1, 2)
+    build = chiral.build_rotation_group
+
+    def shrunk(pres, max_cosets):
+        out = build(pres, max_cosets)
+        out.order -= 1
+        return out
+
+    monkeypatch.setattr(chiral, "build_rotation_group", shrunk)
+    with pytest.raises(RotationViolation,
+                       match="mirror image changed the group order"):
+        enantiomorph(group)
+
+
+def test_dual_torus_order_change_raises(monkeypatch):
+    build = chiral.build_rotation_group
+
+    def shrink_dual(pres, max_cosets):
+        out = build(pres, max_cosets)
+        if pres.declared_schlafli == (6, 3):
+            out.order -= 1
+        return out
+
+    monkeypatch.setattr(chiral, "build_rotation_group", shrink_dual)
+    with pytest.raises(RotationViolation,
+                       match="dual changed the group order"):
+        rotation_torus_map("63", 1, 2)
 
 
 def test_chiral_counts_and_f_vector():

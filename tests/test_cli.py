@@ -102,6 +102,16 @@ def test_env_default_in_parser(monkeypatch):
     assert args.max_cosets == 12345
 
 
+def test_bad_env_coset_cap_is_an_error(monkeypatch, capsys):
+    monkeypatch.setenv(ENV_MAX_COSETS, "abc")
+    code, out, err = run(capsys, "verify", "table3", "--rank", "3")
+    assert code == 1
+    assert err.startswith("error:")
+    assert ENV_MAX_COSETS in err and "'abc'" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_construct_coxeter(capsys):
     code, out, _ = run(capsys, "construct", "coxeter", "3", "3")
     assert code == 0

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from polyflag.presentation import Word, make_presentation, REFLECTION
 from polyflag.coset_enum import enumerate_cosets, coset_action
@@ -165,3 +166,32 @@ def test_intersect_subgroups_brute_force_agreement():
 def test_chain_vs_closure_random(perm_lists):
     gens = [Perm(list(p)) for p in perm_lists]
     assert build_chain(gens).order == len(brute_force_closure(gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.permutations(range(n)), max_size=3),
+    st.integers(0, n - 1))))
+def test_orbit_matches_sympy(case):
+    perm_lists, start = case
+    gens = [Perm(list(p)) for p in perm_lists]
+    if perm_lists:
+        group = PermutationGroup([Permutation(list(p)) for p in perm_lists])
+        assert orbit(gens, start) == set(group.orbit(start))
+    else:
+        assert orbit(gens, start) == {start}
+
+
+def test_orbit_without_generators_is_the_start():
+    assert orbit([], 5) == {5}
+
+
+def test_orbit_degree_mismatch():
+    with pytest.raises(DegreeMismatch):
+        orbit([Perm([1, 0]), Perm([1, 2, 0])], 0)
+
+
+@pytest.mark.parametrize("start", [-1, 3])
+def test_orbit_start_out_of_range(start):
+    with pytest.raises(IndexError):
+        orbit([Perm([1, 2, 0])], start)
