@@ -4,23 +4,45 @@ The enumerator is relator-driven: each live coset is scanned against every
 relator in file order, defining cosets as needed to complete the trace, with
 a fill pass for any column no relator touches.  Coincidences are resolved
 through a union-find merge queue, always keeping the smaller coset number.
-When the live-coset budget is exhausted a lookahead pass re-scans the whole
-table without defining anything, hoping for a collapse; if that frees no
-room the enumeration fails with the high-water mark.
+When the live-coset budget is exhausted a lookahead pass scans the table
+without defining anything, hoping for a collapse; if that frees no room the
+enumeration fails with the high-water mark.
+
+Lookahead starts at the scan pointer.  Every live coset below it has had
+every relator scanned and filled, so each of its relator traces closes, and
+deductions and coincidences only add entries or pass to a quotient, so a
+closed trace stays closed: scanning those cosets would change nothing.
+
+The working table is column-major: ``cols[x][c]`` is the image of coset c
+under column x (generator g forward is 2g, inverse 2g+1).  Each relator is
+bound to the tuple of the columns its letters read, and of their mirrors,
+so one scan step is one list subscript.  Coset c is dead once
+``parent[c] != c``; its entries are cleared when its coincidence is
+processed.
 
 Coset numbering is deterministic: cosets are numbered by first definition
 in scanning order, and the finished table is compacted to be gap-free, so
-identical input yields an identical table.
+identical input yields an identical table.  Every table is proved before it
+is returned: complete, mirror-consistent, closed under every relator, and
+with coset 0 fixed by the subgroup words, each relator traced from all
+cosets at once with numpy.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 DEFAULT_MAX_COSETS = 2_000_000
 
 _UNDEF = -1
+
+# Columns grow by this many undefined entries at a time, so that defining
+# a coset appends to the parent list only.
+_GROW = (_UNDEF,) * 1024
 
 
 class CosetLimitExceeded(Exception):
@@ -87,13 +109,22 @@ class CosetTable:
 
 class _Enumerator:
     def __init__(self, ncols, relators, max_cosets):
-        self.ncols = ncols
-        self.relators = relators
         self.max_cosets = max_cosets
-        self.table = [[_UNDEF] * ncols]
+        cols = self.cols = [[_UNDEF] for _ in range(ncols)]
         self.parent = [0]
         self.live = 1
         self.high_water = 1
+        # The column lists live as long as the run (compaction rewrites
+        # them in place), so these bindings never go stale.
+        self.bound = [self._columns(rel) for rel in relators]
+        self.mirrored = [(col, cols[x ^ 1]) for x, col in enumerate(cols)]
+
+    def _columns(self, word):
+        """The word with the column each letter reads forward, and the
+        column of its inverse, which backward scans read."""
+        cols = self.cols
+        return (word, tuple(cols[x] for x in word),
+                tuple(cols[x ^ 1] for x in word))
 
     def find(self, c):
         parent = self.parent
@@ -105,23 +136,27 @@ class _Enumerator:
     def define(self, f, x):
         if self.live >= self.max_cosets:
             raise _LimitHit
-        n = len(self.table)
-        self.table.append([_UNDEF] * self.ncols)
+        n = len(self.parent)
+        cols = self.cols
+        if n == len(cols[0]):
+            for col in cols:
+                col.extend(_GROW)
         self.parent.append(n)
-        self.table[f][x] = n
-        self.table[n][x ^ 1] = f
+        cols[x][f] = n
+        cols[x ^ 1][n] = f
         self.live += 1
         if self.live > self.high_water:
             self.high_water = self.live
         return n
 
     def coincide(self, a, b):
-        table = self.table
+        mirrored = self.mirrored
         parent = self.parent
+        find = self.find
         queue = deque()
 
         def merge(x, y):
-            x, y = self.find(x), self.find(y)
+            x, y = find(x), find(y)
             if x == y:
                 return
             if x > y:
@@ -133,35 +168,33 @@ class _Enumerator:
         merge(a, b)
         while queue:
             g = queue.popleft()
-            row = table[g]
-            for x in range(self.ncols):
-                d = row[x]
+            for col, back in mirrored:
+                d = col[g]
                 if d < 0:
                     continue
-                table[d][x ^ 1] = _UNDEF
-                mu = self.find(g)
-                nu = self.find(d)
-                t = table[mu][x]
+                col[g] = _UNDEF
+                back[d] = _UNDEF
+                mu = find(g)
+                nu = find(d)
+                t = col[mu]
                 if t >= 0:
                     merge(nu, t)
                 else:
-                    t = table[nu][x ^ 1]
+                    t = back[nu]
                     if t >= 0:
                         merge(mu, t)
                     else:
-                        table[mu][x] = nu
-                        table[nu][x ^ 1] = mu
-            table[g] = None
+                        col[mu] = nu
+                        back[nu] = mu
 
-    def scan_and_fill(self, a, cols):
-        table = self.table
+    def scan_and_fill(self, a, word, fwd, back):
         f = a
         i = 0
         b = a
-        j = len(cols) - 1
+        j = len(word) - 1
         while True:
             while i <= j:
-                t = table[f][cols[i]]
+                t = fwd[i][f]
                 if t < 0:
                     break
                 f = t
@@ -171,7 +204,7 @@ class _Enumerator:
                     self.coincide(f, b)
                 return
             while j >= i:
-                t = table[b][cols[j] ^ 1]
+                t = back[j][b]
                 if t < 0:
                     break
                 b = t
@@ -180,112 +213,121 @@ class _Enumerator:
                 self.coincide(f, b)
                 return
             if j == i:
-                table[f][cols[i]] = b
-                table[b][cols[i] ^ 1] = f
+                fwd[i][f] = b
+                back[i][b] = f
                 return
-            self.define(f, cols[i])
+            self.define(f, word[i])
 
-    def scan_no_fill(self, a, cols):
-        table = self.table
-        f = a
-        i = 0
-        b = a
-        j = len(cols) - 1
-        while i <= j:
-            t = table[f][cols[i]]
-            if t < 0:
-                break
-            f = t
-            i += 1
-        if i > j:
-            if f != b:
-                self.coincide(f, b)
-            return
-        while j >= i:
-            t = table[b][cols[j] ^ 1]
-            if t < 0:
-                break
-            b = t
-            j -= 1
-        if j < i:
-            self.coincide(f, b)
-        elif j == i:
-            table[f][cols[i]] = b
-            table[b][cols[i] ^ 1] = f
-
-    def lookahead(self):
-        for c in range(len(self.table)):
-            if self.table[c] is None or self.parent[c] != c:
+    def lookahead(self, start):
+        """Scan every live coset from ``start`` on against every relator,
+        defining nothing: a complete trace that does not close is a
+        coincidence, and a trace missing one entry is a deduction."""
+        parent = self.parent
+        coincide = self.coincide
+        bound = [(len(word) - 1, tuple(enumerate(fwd)), fwd, back)
+                 for word, fwd, back in self.bound]
+        for c in range(start, len(parent)):
+            if parent[c] != c:
                 continue
-            for cols in self.relators:
-                self.scan_no_fill(c, cols)
-                if self.parent[c] != c:
-                    break
+            for last, steps, fwd, back in bound:
+                f = c
+                for i, col in steps:
+                    t = col[f]
+                    if t < 0:
+                        break
+                    f = t
+                else:
+                    if f != c:
+                        coincide(f, c)
+                        if parent[c] != c:
+                            break
+                    continue
+                b = c
+                j = last
+                while j >= i:
+                    t = back[j][b]
+                    if t < 0:
+                        break
+                    b = t
+                    j -= 1
+                else:
+                    coincide(f, b)
+                    if parent[c] != c:
+                        break
+                    continue
+                if j == i:
+                    fwd[i][f] = b
+                    back[i][b] = f
 
     def compact(self, pointer):
-        """Drop dead rows, renumbering live cosets in order.
+        """Drop dead cosets, renumbering live ones in order.
 
         Returns the translated scan pointer.
         """
-        mapping = {}
-        newtable = []
-        new_pointer = 0
-        for c, row in enumerate(self.table):
-            if row is not None and self.parent[c] == c:
-                if c < pointer:
-                    new_pointer += 1
-                mapping[c] = len(newtable)
-                newtable.append(row)
-        for row in newtable:
-            for x in range(self.ncols):
-                if row[x] >= 0:
-                    row[x] = mapping[self.find(row[x])]
-        self.table = newtable
-        self.parent = list(range(len(newtable)))
-        return new_pointer
+        parent = self.parent
+        live = []
+        # mapping[c] is the new number of find(c); a dead coset's parent
+        # is smaller than it, so is mapped first.  The extra last slot
+        # sends _UNDEF (index -1) to itself.
+        mapping = [_UNDEF] * (len(parent) + 1)
+        for c, p in enumerate(parent):
+            if p == c:
+                mapping[c] = len(live)
+                live.append(c)
+            else:
+                mapping[c] = mapping[p]
+        # in place, one column at a time, so only one new column is held
+        for col in self.cols:
+            col[:] = [mapping[col[c]] for c in live]
+        self.parent = list(range(len(live)))
+        return bisect_left(live, pointer)
 
     def run(self, subgroup_cols):
         for cols in subgroup_cols:
-            self._guarded(0, cols)
+            bound = self._columns(cols)
+            while True:
+                try:
+                    self.scan_and_fill(0, *bound)
+                    break
+                except _LimitHit:
+                    self._lookahead_or_fail(0)
         a = 0
-        while a < len(self.table):
-            if self.table[a] is None or self.parent[a] != a:
+        while a < len(self.parent):
+            parent = self.parent
+            if parent[a] != a:
                 a += 1
                 continue
-            if len(self.table) - self.live > max(4096, self.live):
+            if len(parent) - self.live > max(4096, self.live):
                 a = self.compact(a)
                 continue
             try:
-                dead = False
-                for cols in self.relators:
-                    self.scan_and_fill(a, cols)
-                    if self.parent[a] != a:
-                        dead = True
+                for word, fwd, back in self.bound:
+                    f = a
+                    for col in fwd:
+                        f = col[f]
+                        if f < 0:
+                            break
+                    else:
+                        if f == a:
+                            continue
+                    self.scan_and_fill(a, word, fwd, back)
+                    if parent[a] != a:
                         break
-                if not dead:
-                    row = self.table[a]
-                    for x in range(self.ncols):
-                        if row[x] < 0:
+                else:
+                    for x, col in enumerate(self.cols):
+                        if col[a] < 0:
                             self.define(a, x)
             except _LimitHit:
-                self.lookahead()
-                if self.live >= self.max_cosets:
-                    raise CosetLimitExceeded(
-                        self.max_cosets, self.high_water) from None
+                self._lookahead_or_fail(a)
                 continue
             a += 1
         self.compact(0)
 
-    def _guarded(self, a, cols):
-        while True:
-            try:
-                self.scan_and_fill(a, cols)
-                return
-            except _LimitHit:
-                self.lookahead()
-                if self.live >= self.max_cosets:
-                    raise CosetLimitExceeded(
-                        self.max_cosets, self.high_water) from None
+    def _lookahead_or_fail(self, start):
+        self.lookahead(start)
+        if self.live >= self.max_cosets:
+            raise CosetLimitExceeded(
+                self.max_cosets, self.high_water) from None
 
 
 def enumerate_cosets(pres, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
@@ -306,28 +348,55 @@ def enumerate_cosets(pres, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
     enum.run(sub)
     table = CosetTable(
         num_generators=pres.num_generators,
-        num_cosets=len(enum.table),
-        action=tuple(tuple(row) for row in enum.table),
+        num_cosets=len(enum.parent),
+        action=tuple(zip(*enum.cols)),
     )
-    _check_table(table, sub)
+    del enum  # free the working table before the proof allocates arrays
+    _check_table(table, relators, sub)
     return table
 
 
-def _check_table(table, subgroup_cols):
-    # cheap sanity: total, mirror-consistent, subgroup words fix coset 0.
-    # Full relator closure is asserted in the test suite.
-    for c, row in enumerate(table.action):
-        for x, d in enumerate(row):
-            if d < 0:
-                raise AssertionError(f"incomplete table at ({c}, {x})")
-            if table.action[d][x ^ 1] != c:
-                raise AssertionError(f"mirror violation at ({c}, {x})")
-    for cols in subgroup_cols:
+def _table_fault(table, relators, subgroup_cols=()):
+    """What keeps the table from being a complete, mirror-consistent
+    action on which every relator closes and every subgroup word fixes
+    coset 0, or None if nothing does.
+
+    Each relator is traced from all cosets at once, one numpy gather per
+    letter.
+    """
+    n = table.num_cosets
+    act = np.array(table.action, dtype=np.int32).reshape(
+        n, 2 * table.num_generators)
+    if act.min() < 0 or act.max() >= n:
+        bad = np.argwhere((act < 0) | (act >= n))
+        return "incomplete table at ({}, {})".format(*bad[0])
+    cols = act.T
+    cosets = np.arange(n, dtype=np.int32)
+    for x, col in enumerate(cols):
+        bad = np.flatnonzero(cols[x ^ 1][col] != cosets)
+        if bad.size:
+            return f"mirror violation at ({bad[0]}, {x})"
+    for k, word in enumerate(relators):
+        c = cosets
+        for x in word:
+            c = cols[x][c]
+        bad = np.flatnonzero(c != cosets)
+        if bad.size:
+            return f"relator {k} does not close at coset {bad[0]}"
+    for word in subgroup_cols:
         c = 0
-        for x in cols:
+        for x in word:
             c = table.action[c][x]
         if c != 0:
-            raise AssertionError("subgroup word does not fix coset 0")
+            return "subgroup word does not fix coset 0"
+    return None
+
+
+def _check_table(table, relators, subgroup_cols):
+    """Prove the table before it is handed out; raises on any fault."""
+    fault = _table_fault(table, relators, subgroup_cols)
+    if fault is not None:
+        raise AssertionError(fault)
 
 
 def group_order(pres, max_cosets=DEFAULT_MAX_COSETS):
@@ -350,17 +419,10 @@ def trace_word(table, coset, word):
 
 
 def relators_close(pres, table):
-    """True iff every relator traces back to its start from every coset.
+    """True iff the table is a complete action on which every relator
+    traces back to its start from every coset.
 
-    Verification helper used by the tests and the CLI; enumerate_cosets
-    already guarantees totality and mirror consistency.
+    The same traced check enumerate_cosets runs on every table it returns.
     """
     rels = [word_to_columns(w) for w in pres.relators]
-    for c in range(table.num_cosets):
-        for cols in rels:
-            d = c
-            for x in cols:
-                d = table.action[d][x]
-            if d != c:
-                return False
-    return True
+    return _table_fault(table, rels) is None

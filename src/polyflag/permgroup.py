@@ -85,16 +85,18 @@ class Perm:
         return int(moved[0]) if moved.size else None
 
     def order(self):
-        seen = np.zeros(self.degree, dtype=bool)
+        # plain ints: indexing the numpy array makes a numpy scalar per step
+        images = self.images.tolist()
+        seen = bytearray(len(images))
         result = 1
-        for start in range(self.degree):
+        for start in range(len(images)):
             if seen[start]:
                 continue
             length = 0
             p = start
             while not seen[p]:
-                seen[p] = True
-                p = int(self.images[p])
+                seen[p] = 1
+                p = images[p]
                 length += 1
             result = math.lcm(result, length)
         return result

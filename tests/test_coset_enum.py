@@ -1,12 +1,23 @@
 """Coset enumeration: orders, subgroup indices, determinism, limits."""
 
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
-from polyflag.presentation import Word, make_presentation, REFLECTION
+from polyflag.corpus import load_entry
+from polyflag.presentation import (Word, make_presentation,
+                                   parse_presentation, REFLECTION)
 from polyflag.coset_enum import (
     CosetLimitExceeded, enumerate_cosets, group_order, coset_action,
-    trace_word, relators_close,
+    trace_word, relators_close, word_to_columns, _check_table, _Enumerator,
 )
+
+PERFBENCH_INPUTS = (Path(__file__).resolve().parent.parent / "perfbench"
+                    / "inputs.py")
 
 
 def cox(*periods):
@@ -120,3 +131,156 @@ def test_nontrivial_subgroup_words():
     table = enumerate_cosets(
         pres, (Word.gen(0) * Word.gen(1), Word.gen(1) * Word.gen(2)))
     assert table.num_cosets == 2
+
+
+def digest(table):
+    return hashlib.sha256(json.dumps(table.action).encode()).hexdigest()[:16]
+
+
+def coxeter_text(symbol, rel=None):
+    text = (f"rank {len(symbol) + 1}\nkind reflection\n"
+            f"schlafli {' '.join(map(str, symbol))}\n")
+    return text + (f"rel {rel}\n" if rel else "")
+
+
+# Recorded from the row-major enumerator that preceded the column-major
+# one (tools/enum_digests.py prints the same table for any checkout).
+# Kept by hand: coset numbering must not drift.
+@pytest.mark.parametrize("source, cap, outcome", [
+    (coxeter_text((3, 3, 5)), 2_000_000, (14400, "fb8b8c70dec4df1b")),
+    (coxeter_text((4, 3, 3, 3, 3)), 2_000_000, (46080, "de2c78052f793050")),
+    ("corpus:cube-5", 2_000_000, (3840, "a8e981abc27b198d")),
+    ("corpus:lambda-6-3-3-3", 2_000_000, (1440, "ad10c69adbaecdc9")),
+    ("corpus:lambda-6-6-3-3", 2_000_000, (2880, "26950d4d49a94e8f")),
+    (coxeter_text((5, 4), "(r0 r1 r2)^8"), 2000, (1440, "a3237bb691882690")),
+    (coxeter_text((5, 4), "(r0 r1 r2)^8"), 300, ("limit", 300)),
+    (coxeter_text((3, 6, 3)), 2000, ("limit", 2000)),
+    (coxeter_text((3, 6, 3)), 300, ("limit", 300)),
+    # these finish only because lookahead collapses the table at the cap
+    (coxeter_text((6, 3, 4), "(r0 r1 r2 r3)^6"), 2000,
+     (864, "24769ec1671aa989")),
+    (coxeter_text((4, 5, 3), "(r0 r1 r2)^7"), 2000, (2, "a29bb9a2b8ad8036")),
+    (coxeter_text((8, 3), "(r0 r1 r2 r1)^4"), 60, (48, "2366ccd4620fe963")),
+], ids=["335", "43333", "cube-5", "lambda-6-3-3-3", "lambda-6-6-3-3",
+        "54-petrie8-cap2000", "54-petrie8-cap300", "363-cap2000",
+        "363-cap300", "634-petrie6-cap2000", "453-petrie7-cap2000",
+        "83-hole4-cap60"])
+def test_golden_numbering(source, cap, outcome):
+    if source.startswith("corpus:"):
+        pres = load_entry(source[len("corpus:"):])[0]
+    else:
+        pres = parse_presentation(source)
+    try:
+        table = enumerate_cosets(pres, (), max_cosets=cap)
+    except CosetLimitExceeded as exc:
+        assert exc.max_cosets == cap
+        got = ("limit", exc.high_water)
+    else:
+        got = (table.num_cosets, digest(table))
+    assert got == outcome
+
+
+def sweep_presentations():
+    """Every 49th presentation of the sweep benchmark's candidate pool,
+    read from perfbench without writing bytecode there."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", PERFBENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(inputs)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return [parse_presentation(inputs.sweep_text(sym, rel))
+            for sym, rel in inputs.sweep_pool()[::49]]
+
+
+def outcomes(presentations, cap):
+    out = []
+    for pres in presentations:
+        try:
+            out.append(("table", enumerate_cosets(pres, (), cap).action))
+        except CosetLimitExceeded as exc:
+            out.append(("limit", exc.max_cosets, exc.high_water))
+    return out
+
+
+def test_lookahead_from_scan_pointer_is_exact(monkeypatch):
+    # Live cosets below the scan pointer have every relator trace closed,
+    # so lookahead may start at the pointer.  Scanning from coset 0
+    # instead must give the same tables and the same limit outcomes.
+    presentations = sweep_presentations()
+    assert len(presentations) == 40
+    caps = (60, 300, 2000)
+    pointer = [outcomes(presentations, cap) for cap in caps]
+    lookahead = _Enumerator.lookahead
+    monkeypatch.setattr(_Enumerator, "lookahead",
+                        lambda self, start: lookahead(self, 0))
+    whole = [outcomes(presentations, cap) for cap in caps]
+    assert pointer == whole
+    # every cap mixes finished tables with limit hits
+    for row in pointer:
+        limits = sum(kind == "limit" for kind, *_ in row)
+        assert 0 < limits < len(presentations)
+
+
+def corrupt(table, coset, column, value):
+    action = [list(row) for row in table.action]
+    action[coset][column] = value
+    return type(table)(table.num_generators, table.num_cosets,
+                       tuple(map(tuple, action)))
+
+
+def relator_columns(pres):
+    return [word_to_columns(w) for w in pres.relators]
+
+
+def test_check_table_faults():
+    pres = cox(4, 3)
+    table = enumerate_cosets(pres, ())
+    rels = relator_columns(pres)
+    _check_table(table, rels, [word_to_columns(Word.gen(0) ** 2)])
+    with pytest.raises(AssertionError, match=r"incomplete table at \(5, 2\)"):
+        _check_table(corrupt(table, 5, 2, -1), rels, [])
+    with pytest.raises(AssertionError, match="incomplete"):
+        _check_table(corrupt(table, 0, 0, 48), rels, [])
+    # send coset 5 under r1 somewhere its r1 image does not come back from
+    target = next(d for d in range(48) if d != table.action[5][2])
+    with pytest.raises(AssertionError, match="mirror violation"):
+        _check_table(corrupt(table, 5, 2, target), rels, [])
+    with pytest.raises(AssertionError, match="subgroup word"):
+        _check_table(table, rels, [word_to_columns(Word.gen(0))])
+    # a mirror-consistent table of [3,3] does not satisfy (r0 r1)^4
+    small = enumerate_cosets(cox(3, 3), ())
+    with pytest.raises(AssertionError, match="does not close"):
+        _check_table(small, relator_columns(cox(4, 3)), [])
+
+
+def test_relators_close_rejects_incomplete_table():
+    pres = cox(4, 3)
+    table = enumerate_cosets(pres, ())
+    assert relators_close(pres, table)
+    assert not relators_close(pres, corrupt(table, 7, 0, -1))
+
+
+def closes_by_loop(pres, table):
+    """Reference for relators_close: trace each relator from each coset
+    one entry at a time."""
+    for c in range(table.num_cosets):
+        for cols in relator_columns(pres):
+            d = c
+            for x in cols:
+                d = table.action[d][x]
+            if d != c:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("table_periods", [(3, 3), (3, 4), (4, 3), (3, 5)])
+@pytest.mark.parametrize("rel_periods", [(3, 3), (3, 4), (4, 3), (3, 5),
+                                         (6, 3)])
+def test_relators_close_matches_loop(table_periods, rel_periods):
+    table = enumerate_cosets(cox(*table_periods), ())
+    pres = cox(*rel_periods)
+    assert relators_close(pres, table) == closes_by_loop(pres, table)
