@@ -4,8 +4,7 @@
 
 from polyflag.presentation import (Word, make_presentation,
                                    parse_presentation, REFLECTION)
-from polyflag.coset_enum import (enumerate_cosets, group_order,
-                                 trace_word, relators_close)
+from polyflag.coset_enum import enumerate_cosets, group_order, relators_close
 
 for periods in [(3, 3), (3, 4), (3, 5), (4, 3, 3)]:
     pres = make_presentation(REFLECTION, len(periods) + 1, periods)
@@ -28,9 +27,9 @@ print("octahedron faces:", enumerate_cosets(pres, face).num_cosets)
 # tracing words through the regular representation
 table = enumerate_cosets(pres)
 w = Word.gen(0) * Word.gen(1) * Word.gen(2)
-c = trace_word(table, 0, w)
+c = table.trace(0, w)
 print("coset of r0 r1 r2:", c)
-print("   ... traced back:", trace_word(table, c, w.inverse()))
+print("   ... traced back:", table.trace(c, w.inverse()))
 
 # the same group from its text form
 text = """

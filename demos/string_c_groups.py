@@ -9,8 +9,7 @@ the witness pair.
 
 from polyflag.presentation import Word, make_presentation, REFLECTION
 from polyflag.stringc import (build_string_group, is_string_c_group,
-                              intersection_condition_exhaustive,
-                              schlafli_symbol, dual)
+                              intersection_condition_exhaustive, dual)
 from polyflag.constructions import coxeter, torus_map, hemi_icosahedron
 
 for group, label in [
@@ -20,7 +19,7 @@ for group, label in [
         (hemi_icosahedron(), "hemi-icosahedron")]:
     verdict = is_string_c_group(group)
     print(f"{label}: order {group.order}, symbol "
-          f"{schlafli_symbol(group)}, C-group {bool(verdict)}")
+          f"{group.schlafli_symbol()}, C-group {bool(verdict)}")
 
 # parabolic subgroup orders, straight from orbits of the regular action
 cube = coxeter(4, 3)
@@ -28,7 +27,7 @@ for subset in [(), (0,), (0, 1), (1, 2), (0, 1, 2)]:
     print(f"  <{subset}> has order {cube.parabolic_order(subset)},"
           f" index {cube.order // cube.parabolic_order(subset)}")
 
-print("dual of [4,3]:", schlafli_symbol(dual(cube)))
+print("dual of [4,3]:", dual(cube).schlafli_symbol())
 
 # force r0 = r2 in [2,2]: still an sggi, no longer a C-group
 collapsed = make_presentation(

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 from .presentation import Word, Presentation, ROTATION, make_presentation
 from .coset_enum import enumerate_cosets, coset_action, DEFAULT_MAX_COSETS
+from .stringc import dual
+from .constructions import torus_kind, check_torus_params, torus_order
 # build_chain is unused here, but perfbench/tracing.py installs a span at it
 from .permgroup import word_image, orbit, build_chain  # noqa: F401
 
@@ -119,12 +121,9 @@ def _mirror_word(w):
 
 def _mirror_images(group):
     """Candidate images of the generators under conjugation by the
-    missing mirror."""
-    images = list(group.gens)
-    images[0] = group.gens[0].inverse()
-    if len(images) > 1:
-        images[1] = group.gens[0] * group.gens[0] * group.gens[1]
-    return images
+    missing mirror: the mirror substitution, evaluated."""
+    return [word_image(group.gens, _mirror_word(Word.gen(i)))
+            for i in range(len(group.gens))]
 
 
 def is_chiral(group):
@@ -400,41 +399,24 @@ def rotation_torus_map(kind, b, c, max_cosets=DEFAULT_MAX_COSETS):
     """Rotation group of the torus map {4,4}_(b,c), {3,6}_(b,c) or
     {6,3}_(b,c); accepts chiral parameters, unlike the reflection
     builder.  The translation words are the rotational rewrites of the
-    reflection-side ones; the order certificates are half the flag-count
-    formulas."""
-    kind = str(kind).strip("{}").replace(",", "").replace(" ", "")
-    if kind not in ("44", "36", "63"):
-        raise ValueError(f"kind must be one of 44, 36, 63, got {kind!r}")
-    if b < 0 or c < 0 or (b, c) == (0, 0):
-        raise ValueError("need b, c >= 0 and not both zero")
+    reflection-side ones; the order certificate is half the flag count.
+    {6,3}_(b,c) is the dual of {3,6}_(b,c), so it is built as one."""
+    kind = torus_kind(kind)
+    check_torus_params(b, c)
     if kind == "63":
-        inner = rotation_torus_map("36", b, c, max_cosets)
-        # dual rotation group: reverse and invert the generator string
-        m = inner.pres.num_generators
-        relators = tuple(
-            Word(tuple((m - 1 - g, -e) for g, e in reversed(w.letters)))
-            for w in inner.pres.relators)
-        sym = inner.pres.declared_schlafli
-        pres = Presentation(
-            num_generators=m, kind=ROTATION, relators=relators,
-            declared_schlafli=tuple(reversed(sym)) if sym else None)
-        out = build_rotation_group(pres, max_cosets)
-        if out.order != inner.order:
-            raise RotationViolation("dual changed the group order")
-        return out
+        return dual(rotation_torus_map("36", b, c, max_cosets))
     s1, s2 = Word.gen(0), Word.gen(1)
     if kind == "44":
         x = s1 * s2.inverse()
         symbol = [4, 4]
-        expected = 4 * (b * b + c * c)
     else:
         x = s1 * s2.inverse() * s2.inverse()
         symbol = [3, 6]
-        expected = 6 * (b * b + b * c + c * c)
     y = s2.inverse() * x * s2
     pres = make_presentation(ROTATION, 3, symbol,
                              extra_relators=[x ** b * y ** c])
     group = build_rotation_group(pres, max_cosets)
+    expected = torus_order(kind, b, c) // 2
     if group.order != expected:
         raise RotationViolation(
             f"order certificate failed: expected {expected}, "

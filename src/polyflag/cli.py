@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -26,7 +25,8 @@ from .stringc import (build_string_group, SggiViolation,
                       intersection_condition_exhaustive)
 from .analysis import analyze, min_nonflat_flags
 from .constructions import (FamilySpec, build_family, table2_witness,
-                            CertificateMismatch, AmalgamCollapse, NAMED)
+                            CertificateMismatch, AmalgamCollapse,
+                            TORUS_FAMILIES, is_regular_torus, expected_order)
 from .chiral import (build_rotation_group, rotation_torus_map, chiral_report,
                      RotationViolation, chiral_lower_bound, BoundQuery,
                      StructureFacts, structure_constraint_audit,
@@ -87,20 +87,32 @@ def _rotation_lines(payload):
     return lines
 
 
+def _report(group):
+    if group.pres.kind != REFLECTION:
+        payload = chiral_report(group)
+        return payload, _rotation_lines(payload)
+    report = analyze(group)
+    payload = report.to_json()
+    if not report.c_group and report.c_group_witness is not None:
+        w = report.c_group_witness
+        payload["c_group_witness"] = [sorted(w.left), sorted(w.right)]
+    return payload, _reflection_lines(payload)
+
+
+def _clean(payload):
+    """No audit violation; the C-group condition or flag bound holds."""
+    bound = payload.get("bound_check")
+    return (payload.get("c_group", True) and not payload["audit_violations"]
+            and (bound is None or bound["ok"]))
+
+
 def cmd_analyze(args):
     pres = parse_presentation(Path(args.file).read_text())
-    if pres.kind == REFLECTION:
-        report = analyze(build_string_group(pres, args.max_cosets))
-        payload = report.to_json()
-        if not report.c_group and report.c_group_witness is not None:
-            w = report.c_group_witness
-            payload["c_group_witness"] = [sorted(w.left), sorted(w.right)]
-        _emit(args, payload, _reflection_lines(payload))
-        return 0 if report.c_group and not report.audit_violations else 1
-    payload = chiral_report(build_rotation_group(pres, args.max_cosets))
-    _emit(args, payload, _rotation_lines(payload))
-    bound_ok = payload["bound_check"] is None or payload["bound_check"]["ok"]
-    return 0 if bound_ok and not payload["audit_violations"] else 1
+    build = (build_string_group if pres.kind == REFLECTION
+             else build_rotation_group)
+    payload, lines = _report(build(pres, args.max_cosets))
+    _emit(args, payload, lines)
+    return 0 if _clean(payload) else 1
 
 
 def _parse_param(token):
@@ -129,69 +141,29 @@ def _parse_family(family, raw_params):
     return FamilySpec(family, tuple(_parse_param(t) for t in raw_params))
 
 
-_TORI = ("torus44", "torus36", "torus63")
-
-
-def _chiral_torus_params(spec):
-    if spec.family not in _TORI or len(spec.params) != 2:
-        return False
-    b, c = spec.params
-    return 0 not in (b, c) and b != c
-
-
-def _expected_order(spec):
-    """Closed-form order where the family has one, else None."""
-    fam, params = spec.family, spec.params
-    if fam == "lambda":
-        n = len(params) + 1
-        return (math.prod(params) * math.factorial(n + 1)) // 3 ** (n - 1)
-    if fam == "torus44":
-        b, c = params
-        return 8 * (b * b + c * c)
-    if fam in ("torus36", "torus63"):
-        b, c = params
-        return 12 * (b * b + b * c + c * c)
-    if fam == "hemi":
-        return 60
-    if fam == "named":
-        return {"hemi-icosahedron": 60, "4-cube": 384,
-                "5-cube": 3840}.get(params[0])
-    return None
-
-
 def cmd_construct(args):
     spec = _parse_family(args.family, args.params)
-    if _chiral_torus_params(spec):
-        b, c = spec.params
-        group = rotation_torus_map(spec.family[-2:], b, c, args.max_cosets)
-        expected = _expected_order(spec) // 2
-        cert = {"expected_order": expected, "order": group.order,
-                "ok": expected == group.order}
-        payload = chiral_report(group)
-        payload["family"] = spec.to_json()
-        payload["certificate"] = cert
-        lines = [f"order certificate: expected {expected},"
-                 f" computed {group.order},"
-                 f" {'ok' if cert['ok'] else 'MISMATCH'}"]
-        _emit(args, payload, lines + _rotation_lines(payload))
-        bound_ok = (payload["bound_check"] is None
-                    or payload["bound_check"]["ok"])
-        return 0 if cert["ok"] and bound_ok else 1
-    group = build_family(spec, args.max_cosets)
-    expected = _expected_order(spec)
-    report = analyze(group)
-    payload = report.to_json()
-    payload["family"] = spec.to_json()
-    if expected is None:
-        cert_line = f"order {group.order} (no closed form)"
+    expected = expected_order(spec)
+    kind = TORUS_FAMILIES.get(spec.family)
+    if kind is not None and not is_regular_torus(*spec.params):
+        # chiral parameters: the rotation group, with half the flags
+        group = rotation_torus_map(kind, *spec.params, args.max_cosets)
+        expected //= 2
     else:
-        # builders certify internally, so reaching here means agreement
+        group = build_family(spec, args.max_cosets)
+    payload, lines = _report(group)
+    payload["family"] = spec.to_json()
+    ok = expected is None or expected == group.order
+    if expected is None:
+        lines.insert(0, f"order {group.order} (no closed form)")
+    else:
         payload["certificate"] = {"expected_order": expected,
-                                  "order": group.order, "ok": True}
-        cert_line = (f"order certificate: expected {expected},"
-                     f" computed {group.order}, ok")
-    _emit(args, payload, [cert_line] + _reflection_lines(payload))
-    return 0 if report.c_group and not report.audit_violations else 1
+                                  "order": group.order, "ok": ok}
+        lines.insert(0, f"order certificate: expected {expected},"
+                        f" computed {group.order},"
+                        f" {'ok' if ok else 'MISMATCH'}")
+    _emit(args, payload, lines)
+    return 0 if ok and _clean(payload) else 1
 
 
 def _parse_rank_range(text, default):

@@ -1,10 +1,11 @@
 """Builders for the concrete polytope families.
 
 Each builder assembles a presentation, enumerates it, and then checks a
-certificate: a closed-form order formula, an attained Schlafli symbol, a
-vertex count.  A certificate failure raises CertificateMismatch and
-always means a bug in the presentation or the enumerator, never new
-mathematics, so the builders double as end-to-end tests of the engine.
+certificate: a closed-form order formula (kept here for the CLI too), an
+attained Schlafli symbol, a vertex count.  A certificate failure raises
+CertificateMismatch and always means a bug in the presentation or the
+enumerator, never new mathematics, so the builders double as end-to-end
+tests of the engine.
 
 Families:
 
@@ -13,7 +14,7 @@ Families:
                     relations making each (r_{i-1} r_i)^3 central; order
                     (p1...p_{n-1}/3^{n-1})(n+1)!
   torus_map         the maps {4,4}_(b,c), {3,6}_(b,c), {6,3}_(b,c) for
-                    regular parameters (c = 0 or b = c)
+                    regular parameters (b = 0, c = 0 or b = c)
   hemi_icosahedron  [3,5] with (r0 r1 r2)^5 killed, 60 flags
   universal_amalgam largest polytope with given facet and vertex-figure
                     types, by joining the two presentations
@@ -38,6 +39,41 @@ class AmalgamCollapse(Exception):
     contain the intended facet or vertex-figure group."""
 
 
+# group orders of the NAMED polytopes; the cubes' are 2^n n!
+NAMED_ORDERS = {"hemi-icosahedron": 60, "4-cube": 384, "5-cube": 3840}
+
+
+def simplex_extension_order(periods):
+    """(p1...p_{n-1}/3^{n-1})(n+1)!, as certified by simplex_extension."""
+    n = len(periods) + 1
+    return (math.prod(periods) // 3 ** (n - 1)) * math.factorial(n + 1)
+
+
+def torus_order(kind, b, c):
+    """Flags: 8(b^2+c^2) for {4,4}_(b,c), 12(b^2+bc+c^2) for {3,6}, {6,3}."""
+    if kind == "44":
+        return 8 * (b * b + c * c)
+    return 12 * (b * b + b * c + c * c)
+
+
+def torus_kind(kind):
+    """Normalize "{4,4}", "4,4" or 44 to "44"; likewise 36 and 63."""
+    kind = str(kind).strip("{}").replace(",", "").replace(" ", "")
+    if kind not in ("44", "36", "63"):
+        raise ValueError(f"kind must be one of 44, 36, 63, got {kind!r}")
+    return kind
+
+
+def check_torus_params(b, c):
+    if b < 0 or c < 0 or (b, c) == (0, 0):
+        raise ValueError("need b, c >= 0 and not both zero")
+
+
+def is_regular_torus(b, c):
+    """b = 0, c = 0 or b = c give a reflexible map; others a chiral one."""
+    return b == 0 or c == 0 or b == c
+
+
 def _certify(label, expected, got):
     if expected != got:
         raise CertificateMismatch(
@@ -60,9 +96,9 @@ def simplex_extension(*periods, max_cosets=DEFAULT_MAX_COSETS):
 
     Quotient of [p1,...,p_{n-1}] making each (r_{i-1} r_i)^3 central;
     only the entries equal to 6 contribute a nontrivial center, so only
-    those get centrality relators.  Certifies the order formula
-    (prod pi / 3^{n-1})(n+1)!, the attained symbol, the intersection
-    condition, and the vertex count (n+1)p1/3.
+    those get centrality relators.  Certifies simplex_extension_order,
+    the attained symbol, the intersection condition, and the vertex
+    count (n+1)p1/3.
     """
     if not periods:
         raise ValueError("need at least one period")
@@ -74,8 +110,7 @@ def simplex_extension(*periods, max_cosets=DEFAULT_MAX_COSETS):
     pres = make_presentation(REFLECTION, n, list(periods),
                              central_words=central)
     group = build_string_group(pres, max_cosets)
-    expected = (math.prod(periods) // 3 ** (n - 1)) * math.factorial(n + 1)
-    _certify("order", expected, group.order)
+    _certify("order", simplex_extension_order(periods), group.order)
     _certify("schlafli", tuple(periods), group.schlafli_symbol())
     if not is_string_c_group(group):
         raise CertificateMismatch("intersection condition failed")
@@ -100,22 +135,18 @@ def torus_map(kind, b, c, max_cosets=DEFAULT_MAX_COSETS):
 
     The quotient kills the normal closure of x^b y^c where x, y generate
     the translation lattice; rotational symmetry of the tessellation
-    closes that to the full sublattice.  Only c = 0 and b = c give
+    closes that to the full sublattice.  Only b = 0, c = 0 and b = c give
     reflexible maps; other parameters belong to the rotation-group
-    builder in the chiral module.  Certifies the flag-count formulas
-    8(b^2+c^2) and 12(b^2+bc+c^2).
+    builder in the chiral module.  Certifies torus_order.
     """
-    kind = str(kind).strip("{}").replace(",", "").replace(" ", "")
-    if kind not in ("44", "36", "63"):
-        raise ValueError(f"kind must be one of 44, 36, 63, got {kind!r}")
-    if b < 0 or c < 0 or (b, c) == (0, 0):
-        raise ValueError("need b, c >= 0 and not both zero")
+    kind = torus_kind(kind)
+    check_torus_params(b, c)
+    if not is_regular_torus(b, c):
+        raise ValueError(
+            f"({b},{c}) gives a chiral map; use the rotation builder")
     if b == 0:
         # (0,c) is the (c,0) lattice rotated; same map
         b, c = c, 0
-    if not (c == 0 or b == c):
-        raise ValueError(
-            f"({b},{c}) gives a chiral map; use the rotation builder")
     if kind == "63":
         return dual(torus_map("36", b, c, max_cosets))
     x, y = _torus_translations(kind)
@@ -123,11 +154,7 @@ def torus_map(kind, b, c, max_cosets=DEFAULT_MAX_COSETS):
     pres = make_presentation(REFLECTION, 3, symbol,
                              extra_relators=[x ** b * y ** c])
     group = build_string_group(pres, max_cosets)
-    if kind == "44":
-        expected = 8 * (b * b + c * c)
-    else:
-        expected = 12 * (b * b + b * c + c * c)
-    _certify("order", expected, group.order)
+    _certify("order", torus_order(kind, b, c), group.order)
     return group
 
 
@@ -139,7 +166,7 @@ def hemi_icosahedron(max_cosets=DEFAULT_MAX_COSETS):
     pres = make_presentation(REFLECTION, 3, [3, 5],
                              extra_relators=[w ** 5])
     group = build_string_group(pres, max_cosets)
-    _certify("order", 60, group.order)
+    _certify("order", NAMED_ORDERS["hemi-icosahedron"], group.order)
     return group
 
 
@@ -252,19 +279,56 @@ def table2_witness(rank, which, max_cosets=DEFAULT_MAX_COSETS):
     raise ValueError(f"which must be 1..4, got {which}")
 
 
+TORUS_FAMILIES = {"torus44": "44", "torus36": "36", "torus63": "63"}
+
+# parameter count of the families that have a fixed one
+_ARITY = {**dict.fromkeys(TORUS_FAMILIES, 2), "hemi": 0, "named": 1}
+_INTEGER_PARAMS = ("coxeter", "lambda", *TORUS_FAMILIES)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """A buildable family instance, as named on the command line."""
+    """A buildable family instance, as named on the command line; its
+    parameter count and types are checked on creation."""
 
     family: str
     params: tuple = ()
     sections: tuple = ()  # two sub-specs, amalgam only
+
+    def __post_init__(self):
+        fam, params = self.family, self.params
+        want = _ARITY.get(fam)
+        if want is not None and len(params) != want:
+            raise ValueError(
+                f"{fam} takes {want} parameter(s), got {len(params)}")
+        # only a coxeter period may be inf (None), i.e. unconstrained
+        numbers = (int, type(None)) if fam == "coxeter" else int
+        bad = [p for p in params if not isinstance(p, numbers)]
+        if fam in _INTEGER_PARAMS and bad:
+            shown = "inf" if bad[0] is None else bad[0]
+            raise ValueError(
+                f"{fam} parameters must be integers, got {shown!r}")
 
     def to_json(self):
         out = {"family": self.family, "params": list(self.params)}
         if self.sections:
             out["sections"] = [s.to_json() for s in self.sections]
         return out
+
+
+def expected_order(spec):
+    """The closed-form order of a FamilySpec's reflection group, or None
+    for the families without one (coxeter, amalgam, unknown names)."""
+    fam, params = spec.family, spec.params
+    if fam == "lambda":
+        return simplex_extension_order(params)
+    if fam in TORUS_FAMILIES:
+        return torus_order(TORUS_FAMILIES[fam], *params)
+    if fam == "hemi":
+        return NAMED_ORDERS["hemi-icosahedron"]
+    if fam == "named":
+        return NAMED_ORDERS.get(params[0])
+    return None
 
 
 def build_family(spec, max_cosets=DEFAULT_MAX_COSETS):
@@ -276,9 +340,8 @@ def build_family(spec, max_cosets=DEFAULT_MAX_COSETS):
         return coxeter(*params, max_cosets=max_cosets)
     if fam == "lambda":
         return simplex_extension(*params, max_cosets=max_cosets)
-    if fam in ("torus44", "torus36", "torus63"):
-        b, c = params
-        return torus_map(fam[-2:], b, c, max_cosets=max_cosets)
+    if fam in TORUS_FAMILIES:
+        return torus_map(TORUS_FAMILIES[fam], *params, max_cosets=max_cosets)
     if fam == "hemi":
         return hemi_icosahedron(max_cosets=max_cosets)
     if fam == "amalgam":

@@ -89,9 +89,6 @@ class CosetTable:
     num_cosets: int
     action: tuple
 
-    def apply(self, coset, column):
-        return self.action[coset][column]
-
     def trace(self, coset, word):
         if not 0 <= coset < self.num_cosets:
             raise IndexError(f"coset {coset} out of range")
@@ -412,10 +409,6 @@ def coset_action(table):
     for g in range(table.num_generators):
         perms.append(Perm([row[2 * g] for row in table.action]))
     return perms
-
-
-def trace_word(table, coset, word):
-    return table.trace(coset, word)
 
 
 def relators_close(pres, table):

@@ -14,11 +14,12 @@ generator subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .presentation import Word, Presentation, REFLECTION
-from .coset_enum import enumerate_cosets, coset_action, DEFAULT_MAX_COSETS
+from .presentation import Word, REFLECTION
+from .coset_enum import (enumerate_cosets, coset_action, relators_close,
+                         DEFAULT_MAX_COSETS)
 from .permgroup import orbit
 
 
@@ -60,9 +61,6 @@ class StringGroup:
     @property
     def rank(self):
         return self.pres.num_generators
-
-    def generator_words(self, subset):
-        return tuple(Word.gen(i) for i in sorted(subset))
 
     def parabolic_orbit(self, subset):
         """Element set of the subgroup those generators produce.
@@ -115,36 +113,27 @@ def build_string_group(pres, max_cosets=DEFAULT_MAX_COSETS):
     return group
 
 
-def schlafli_symbol(group):
-    return group.schlafli_symbol()
-
-
 def dual(group):
-    """The same group with its generator string reversed.
-
-    No re-enumeration happens: the regular action is kept and its columns
-    are relabeled, so dual(dual(g)) is identical to g up to that
-    relabeling.
+    """The dual's group, string or rotation: generator i of the dual is
+    generator n-1-i inverted, so s_1..s_m become s_m^-1..s_1^-1 and a
+    string of reflections is just reversed.  No re-enumeration: each row
+    of the regular action is read backwards (column x becomes 2n-1-x), and
+    the table is proved against the relators, each rewritten as its
+    inverse in the new generators.  dual(dual(g)) equals g.
     """
-    n = group.rank
-    relabel = {i: n - 1 - i for i in range(n)}
-    new_rels = tuple(
-        Word(tuple((relabel[g], e) for g, e in w.letters))
-        for w in group.pres.relators)
-    sym = group.pres.declared_schlafli
-    new_pres = Presentation(
-        num_generators=n,
-        kind=REFLECTION,
-        relators=new_rels,
-        declared_schlafli=tuple(reversed(sym)) if sym is not None else None,
-    )
-    action = tuple(
-        tuple(row[2 * relabel[col >> 1] + (col & 1)]
-              for col in range(2 * n))
-        for row in group.table.action)
-    table = type(group.table)(
-        num_generators=n, num_cosets=group.order, action=action)
-    out = StringGroup(new_pres, table, list(reversed(group.gens)))
+    pres, n = group.pres, group.pres.num_generators
+    sym = pres.declared_schlafli
+    relators = tuple(
+        Word(tuple((n - 1 - g, e) for g, e in reversed(w.letters)))
+        for w in pres.relators)
+    new_pres = replace(pres, relators=relators,
+                       declared_schlafli=sym and tuple(reversed(sym)))
+    table = replace(group.table,
+                    action=tuple(row[::-1] for row in group.table.action))
+    if not relators_close(new_pres, table):
+        raise AssertionError("dual table does not satisfy the dual relators")
+    out = type(group)(new_pres, table,
+                      [g.inverse() for g in reversed(group.gens)])
     out.max_cosets = group.max_cosets
     return out
 

@@ -15,8 +15,7 @@ import pytest
 from polyflag.presentation import Word, make_presentation, ROTATION
 from polyflag.coset_enum import enumerate_cosets, relators_close
 from polyflag.stringc import (build_string_group, is_string_c_group,
-                              intersection_condition_exhaustive,
-                              schlafli_symbol)
+                              intersection_condition_exhaustive)
 from polyflag.analysis import analyze, min_nonflat_flags, is_flat_km
 from polyflag.constructions import (coxeter, simplex_extension, torus_map,
                                     universal_amalgam, table2_witness)

@@ -12,10 +12,12 @@ from polyflag.constructions import coxeter, torus_map
 from polyflag.analysis import analyze
 from polyflag import chiral
 from polyflag.permgroup import orbit, word_image
+from polyflag.stringc import dual
 from polyflag.chiral import (
-    RotationViolation, build_rotation_group, is_chiral, enantiomorph,
-    mix_order, mixed_regular_cover_flags, chiral_counts, chiral_f_vector,
-    chiral_flat_pairs, is_tight_rotation, rotation_intersection_advisory,
+    RotationGroup, RotationViolation, build_rotation_group, is_chiral,
+    enantiomorph, mix_order, mixed_regular_cover_flags, chiral_counts,
+    chiral_f_vector, chiral_flat_pairs, is_tight_rotation,
+    rotation_intersection_advisory,
     ChiralBound, BoundQuery, chiral_lower_bound, weakest_chiral_bound,
     StructureFacts, structure_constraint_audit, rotation_torus_map,
     chiral_report, _mirror_word,
@@ -202,19 +204,50 @@ def test_enantiomorph_order_change_raises(monkeypatch):
         enantiomorph(group)
 
 
-def test_dual_torus_order_change_raises(monkeypatch):
-    build = chiral.build_rotation_group
+def test_dual_rejects_a_table_its_relators_do_not_close():
+    group = rotation_torus_map("44", 1, 2)
+    # s1 = 1 is no relation of the torus, so the dual table cannot close
+    pres = Presentation(
+        num_generators=2, kind=ROTATION,
+        relators=group.pres.relators + (Word.gen(0),),
+        declared_schlafli=group.pres.declared_schlafli)
+    broken = RotationGroup(pres, group.table, group.gens)
+    with pytest.raises(AssertionError, match="dual table"):
+        dual(broken)
 
-    def shrink_dual(pres, max_cosets):
-        out = build(pres, max_cosets)
-        if pres.declared_schlafli == (6, 3):
-            out.order -= 1
-        return out
 
-    monkeypatch.setattr(chiral, "build_rotation_group", shrink_dual)
-    with pytest.raises(RotationViolation,
-                       match="dual changed the group order"):
-        rotation_torus_map("63", 1, 2)
+@pytest.mark.parametrize("b, c", [(1, 2), (2, 1), (1, 1), (3, 1)])
+def test_dual_torus_matches_reenumeration(b, c):
+    group = rotation_torus_map("63", b, c)
+    again = build_rotation_group(group.pres)
+    assert again.order == group.order
+    assert chiral_report(again) == chiral_report(group)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rotation_torus_map("44", 1, 2),
+    lambda: rotation_torus_map("36", 2, 1),
+    rot338,
+], ids=["44-1-2", "36-2-1", "338"])
+def test_rotation_double_dual_identity(build):
+    group = build()
+    dd = dual(dual(group))
+    assert dd.pres == group.pres
+    assert dd.table.action == group.table.action
+    assert [g.images.tolist() for g in dd.gens] == [
+        g.images.tolist() for g in group.gens]
+
+
+def test_dual_of_rank4_rotation_group_keeps_rotation_shape():
+    # the dual's generators are the reversed rotations inverted; reversed
+    # alone, (s3 s2 s1)^2 would have to vanish, and here it does not
+    group = rot338()
+    d = dual(group)
+    assert d.schlafli_symbol() == (8, 3, 3)
+    again = build_rotation_group(d.pres)
+    assert again.order == d.order == 192
+    assert again.schlafli_symbol() == (8, 3, 3)
+    assert is_chiral(d)
 
 
 def test_chiral_counts_and_f_vector():

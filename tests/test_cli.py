@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from polyflag import cli
 from polyflag.cli import main, build_parser, ENV_MAX_COSETS
 from polyflag.corpus import entry_text
 
@@ -171,6 +172,34 @@ def test_construct_json_carries_family_and_certificate(capsys):
     assert payload["family"]["family"] == "hemi"
     assert payload["certificate"] == {
         "expected_order": 60, "order": 60, "ok": True}
+
+
+@pytest.mark.parametrize("argv, family", [
+    (("torus44", "a", "b"), "torus44"),
+    (("torus44", "inf", "2"), "torus44"),
+    (("coxeter", "4", "x"), "coxeter"),
+    (("torus44", "1"), "torus44"),
+    (("hemi", "3"), "hemi"),
+])
+def test_construct_bad_parameters_are_errors(capsys, argv, family):
+    code, out, err = run(capsys, "construct", *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert family in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [("named", "4-cube"), ("torus44", "1", "2")])
+def test_construct_certificate_mismatch(capsys, monkeypatch, argv):
+    # both routes compare against the closed form; a wrong one must show
+    monkeypatch.setattr(cli, "expected_order", lambda spec: 2 * 3 * 5 * 7)
+    code, out, _ = run(capsys, "construct", *argv)
+    assert code == 1
+    assert "order certificate: expected" in out and "MISMATCH" in out
+    code, out, _ = run(capsys, "--json", "construct", *argv)
+    assert code == 1
+    assert json.loads(out)["certificate"]["ok"] is False
 
 
 def test_verify_table2(capsys):

@@ -9,7 +9,8 @@ from polyflag.analysis import analyze, is_flat, min_nonflat_flags, f_vector
 from polyflag.constructions import (
     CertificateMismatch, AmalgamCollapse, coxeter, simplex_extension,
     torus_map, hemi_icosahedron, universal_amalgam, simplex_amalgam_check,
-    table2_witness, FamilySpec, build_family, NAMED,
+    table2_witness, FamilySpec, build_family, NAMED, NAMED_ORDERS,
+    expected_order, torus_kind, check_torus_params, is_regular_torus,
 )
 
 
@@ -190,6 +191,48 @@ def test_build_family_rejects_unknown():
         build_family(FamilySpec("klein", (4,)))
     with pytest.raises(ValueError):
         build_family(FamilySpec("named", ("6-cube",)))
+
+
+def test_expected_order_closed_forms():
+    assert expected_order(FamilySpec("lambda", (6, 3, 3))) == 240
+    assert expected_order(FamilySpec("torus44", (1, 2))) == 40
+    assert expected_order(FamilySpec("torus36", (2, 1))) == 84
+    assert expected_order(FamilySpec("torus63", (1, 1))) == 36
+    assert expected_order(FamilySpec("hemi")) == 60
+    assert expected_order(FamilySpec("coxeter", (3, 3))) is None
+    assert expected_order(FamilySpec("named", ("6-cube",))) is None
+    for name, order in NAMED_ORDERS.items():
+        assert expected_order(FamilySpec("named", (name,))) == order
+        assert NAMED[name]().order == order
+
+
+def test_torus_rules():
+    assert torus_kind("{6,3}") == torus_kind("6, 3") == torus_kind(63) == "63"
+    with pytest.raises(ValueError, match="kind must be one of"):
+        torus_kind("{3,3}")
+    for b, c in [(0, 0), (-1, 2), (2, -1)]:
+        with pytest.raises(ValueError, match="b, c >= 0"):
+            check_torus_params(b, c)
+    assert all(is_regular_torus(b, c) for b, c in [(2, 0), (0, 3), (2, 2)])
+    assert not any(is_regular_torus(b, c) for b, c in [(1, 2), (3, 1)])
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("torus44", (1,), "torus44 takes 2 parameter"),
+    ("torus63", (1, "x"), "torus63 parameters must be integers, got 'x'"),
+    ("torus36", (None, 1), "torus36 parameters must be integers, got 'inf'"),
+    ("lambda", (6, None), "lambda parameters must be integers"),
+    ("coxeter", (4, "y"), "coxeter parameters must be integers"),
+    ("hemi", (5,), "hemi takes 0 parameter"),
+    ("named", (), "named takes 1 parameter"),
+])
+def test_family_spec_rejects_bad_parameters(family, params, message):
+    with pytest.raises(ValueError, match=message):
+        FamilySpec(family, params)
+
+
+def test_family_spec_allows_inf_coxeter_period():
+    assert FamilySpec("coxeter", (4, None)).params == (4, None)
 
 
 def test_family_spec_json():
