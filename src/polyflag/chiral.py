@@ -14,6 +14,16 @@ involutory automorphism of the free group, so applying it to the
 relators yields the enantiomorph (mirror image) presentation, which
 presents an isomorphic group whether or not the polytope is chiral.
 
+That isomorphism needs no second enumeration: the enantiomorph's group
+is G itself, generated by the mirror images t_i (the substitution
+evaluated in G).  The mix of G with its mirror image has kernel K, the
+normal closure of G's relators evaluated at the t_i, and the
+substitution extends to an automorphism exactly when every relator image
+is the identity, i.e. when K is trivial.  So the regular cover and the
+chirality verdict are both read off K.  Surjectivity needs no check,
+since the t_i always generate G: s_1 = (s_1^{-1})^{-1} and
+s_2 = s_1^{-2} (s_1^2 s_2).
+
 Subgroup orders here ride on the regular representation the same way the
 reflection side does: the orbit of the trivial coset under any set of
 element images is the element set of the subgroup they generate.
@@ -131,15 +141,12 @@ def is_chiral(group):
     automorphism, i.e. the polytope exists in two enantiomorphic forms.
 
     The substitution extends iff every defining relator maps to the
-    identity under the candidate images (well-definedness) and the
-    images generate the whole group (surjectivity, hence bijectivity on
-    a finite group).
+    identity under the mirror images, i.e. iff the mirror kernel K is
+    trivial, i.e. iff the regular cover has no more flags than the
+    polytope.  It is then onto, hence bijective on a finite group: the
+    mirror images always generate G (see the module docstring).
     """
-    images = _mirror_images(group)
-    for w in group.pres.relators:
-        if not word_image(images, w).is_identity():
-            return True
-    return len(orbit(images, 0)) != group.order
+    return mixed_regular_cover_flags(group) != group.flag_count()
 
 
 def enantiomorph(group):
@@ -183,9 +190,14 @@ def mix_order(g, h):
 
 def mixed_regular_cover_flags(group):
     """Flag count of the smallest regular polytope covering this one:
-    twice the order of the mix with the enantiomorph.  Equals the
-    group's own flag count exactly when the polytope is regular."""
-    return 2 * mix_order(group, enantiomorph(group))
+    twice the order of the mix with the enantiomorph, 2 |G| |K|.
+
+    The enantiomorph is G under the mirror images, so the mix is taken
+    on G's own table with no second enumeration.  K is trivial, and the
+    cover is the polytope itself, exactly when the polytope is regular.
+    """
+    mirror = RotationGroup(group.pres, group.table, _mirror_images(group))
+    return 2 * mix_order(group, mirror)
 
 
 def _stabilizer_words(group, i):
@@ -431,7 +443,9 @@ def chiral_report(group, facts=None):
     assembled from what the group alone determines: its own flat pairs
     and tightness, with section kinds left unknown.
     """
-    chiral = is_chiral(group)
+    flags = group.flag_count()
+    cover = mixed_regular_cover_flags(group)
+    chiral = cover != flags
     vertices, facets = chiral_counts(group)
     if facts is None:
         facts = StructureFacts(
@@ -441,7 +455,6 @@ def chiral_report(group, facts=None):
             flat_pairs=chiral_flat_pairs(group),
             tight=is_tight_rotation(group),
         )
-    flags = group.flag_count()
     if chiral:
         bound = weakest_chiral_bound(group.rank)
         bound_check = {"minimum_flags": bound, "flags": flags,
@@ -454,7 +467,7 @@ def chiral_report(group, facts=None):
         "is_chiral": chiral,
         "vertices": vertices,
         "facets": facets,
-        "mixed_cover_flags": mixed_regular_cover_flags(group),
+        "mixed_cover_flags": cover,
         "bound_check": bound_check,
         "audit_violations": list(structure_constraint_audit(facts)),
         "rotation_intersection_advisory":

@@ -308,6 +308,10 @@ class FamilySpec:
             shown = "inf" if bad[0] is None else bad[0]
             raise ValueError(
                 f"{fam} parameters must be integers, got {shown!r}")
+        want = 2 if fam == "amalgam" else 0
+        if len(self.sections) != want:
+            raise ValueError(
+                f"{fam} takes {want} section(s), got {len(self.sections)}")
 
     def to_json(self):
         out = {"family": self.family, "params": list(self.params)}

@@ -187,7 +187,8 @@ def make_presentation(kind, rank, schlafli=None, extra_relators=(),
         for p in schlafli:
             if p is not None and p < 2:
                 raise PresentationError("schlafli entries must be >= 2")
-    rels = list(_schlafli_relators(kind, rank, schlafli)) if schlafli else []
+    rels = (list(_schlafli_relators(kind, rank, schlafli))
+            if schlafli is not None else [])
     rels.extend(extra_relators)
     for w in central_words:
         # a commutator with the word itself can cancel freely; that carries

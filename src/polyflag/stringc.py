@@ -56,6 +56,7 @@ class StringGroup:
         self.order = table.num_cosets
         self._orbits = {}
         self._slice_ok = {}
+        self._schlafli = None
         self.max_cosets = DEFAULT_MAX_COSETS
 
     @property
@@ -80,9 +81,12 @@ class StringGroup:
         return len(self.parabolic_orbit(subset))
 
     def schlafli_symbol(self):
-        return tuple(
-            (self.gens[i - 1] * self.gens[i]).order()
-            for i in range(1, self.rank))
+        """Orders of the adjacent products, computed once per group."""
+        if self._schlafli is None:
+            self._schlafli = tuple(
+                (self.gens[i - 1] * self.gens[i]).order()
+                for i in range(1, self.rank))
+        return self._schlafli
 
 
 def build_string_group(pres, max_cosets=DEFAULT_MAX_COSETS):

@@ -1,5 +1,6 @@
 """Rotation groups: chirality, enantiomorphs, mixing, bounds, audits."""
 
+import functools
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from polyflag.presentation import (Word, Presentation, make_presentation,
 from polyflag.constructions import coxeter, torus_map
 from polyflag.analysis import analyze
 from polyflag import chiral
+from polyflag.corpus import load_entry
 from polyflag.permgroup import orbit, word_image
 from polyflag.stringc import dual
 from polyflag.chiral import (
@@ -187,6 +189,57 @@ def test_mixed_cover_of_chiral_map():
 def test_mixed_cover_of_regular_map_is_itself():
     group = rotation_torus_map("44", 2, 0)
     assert mixed_regular_cover_flags(group) == group.flag_count() == 32
+
+
+@functools.cache
+def _mirror_oracle_groups():
+    """{4,4} and {3,6} tori with 0 <= b, c <= 6, and the rotation corpus."""
+    groups = [(f"{kind}-{b}-{c}", rotation_torus_map(kind, b, c))
+              for kind in ("44", "36")
+              for b in range(7) for c in range(7) if (b, c) != (0, 0)]
+    for name in ("rotation-338", "rotation-44-1-2", "rotation-44-2-0"):
+        groups.append((name, build_rotation_group(load_entry(name)[0])))
+    return groups
+
+
+def test_cover_matches_the_enumerated_enantiomorph():
+    # the enantiomorph's group is G under the mirror images; enumerating
+    # the mirrored presentation instead must give the same mix
+    for label, group in _mirror_oracle_groups():
+        expected = 2 * mix_order(group, enantiomorph(group))
+        assert mixed_regular_cover_flags(group) == expected, label
+
+
+def _relator_image_chirality(group):
+    """Chirality as first defined: some relator image under the mirror
+    images is not the identity, or the images fail to generate G."""
+    images = chiral._mirror_images(group)
+    for w in group.pres.relators:
+        if not word_image(images, w).is_identity():
+            return True
+    return len(orbit(images, 0)) != group.order
+
+
+def test_is_chiral_matches_relator_images():
+    verdicts = set()
+    for label, group in _mirror_oracle_groups():
+        verdict = is_chiral(group)
+        assert verdict == _relator_image_chirality(group), label
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_chiral_report_enumerates_no_second_group(monkeypatch):
+    group = rotation_torus_map("44", 1, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chiral_report enumerated a second group")
+
+    for name in ("enantiomorph", "build_rotation_group", "enumerate_cosets"):
+        monkeypatch.setattr(chiral, name, refuse)
+    payload = chiral_report(group)
+    assert payload["is_chiral"] is True
+    assert payload["mixed_cover_flags"] == 200
 
 
 def test_enantiomorph_order_change_raises(monkeypatch):

@@ -119,6 +119,13 @@ def test_construct_coxeter(capsys):
     assert "order 24 (no closed form)" in out
 
 
+def test_construct_coxeter_rank_one(capsys):
+    # no periods: a single mirror, whose only relator is r0^2
+    code, out, _ = run(capsys, "--max-cosets", "2000", "construct", "coxeter")
+    assert code == 0
+    assert "order 2 (no closed form)" in out
+
+
 def test_construct_simplex_extension_certificate(capsys):
     code, out, _ = run(capsys, "construct", "lambda", "6", "3", "3")
     assert code == 0

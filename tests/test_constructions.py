@@ -231,6 +231,16 @@ def test_family_spec_rejects_bad_parameters(family, params, message):
         FamilySpec(family, params)
 
 
+@pytest.mark.parametrize("family, sections, message", [
+    ("amalgam", (), "amalgam takes 2 section"),
+    ("amalgam", (FamilySpec("coxeter", (3,)),), "amalgam takes 2 section"),
+    ("coxeter", (FamilySpec("coxeter", (3,)),), "coxeter takes 0 section"),
+])
+def test_family_spec_checks_section_count(family, sections, message):
+    with pytest.raises(ValueError, match=message):
+        FamilySpec(family, (), sections)
+
+
 def test_family_spec_allows_inf_coxeter_period():
     assert FamilySpec("coxeter", (4, None)).params == (4, None)
 

@@ -74,6 +74,15 @@ def test_parabolic_orbit_is_cached():
     assert a is b  # same frozenset key
 
 
+def test_schlafli_symbol_is_cached(monkeypatch):
+    group = cox(4, 3, 3)
+    symbol = group.schlafli_symbol()
+    # a second call reads the cache and takes no permutation order again
+    monkeypatch.setattr(type(group.gens[0]), "order",
+                        lambda self: pytest.fail("symbol recomputed"))
+    assert group.schlafli_symbol() == symbol == (4, 3, 3)
+
+
 def test_recursive_matches_exhaustive_small():
     for group in (cox(3, 3), cox(4, 3), cox(2, 2), cox(3, 3, 3)):
         assert is_string_c_group(group).ok
