@@ -4,9 +4,10 @@
 # rank-4 one with regular facets; lower bounds on flag counts by rank.
 
 from polyflag.presentation import Word, make_presentation
+from polyflag.analysis import f_vector
 from polyflag.chiral import (build_rotation_group, rotation_torus_map,
                              is_chiral, enantiomorph, mix_order,
-                             mixed_regular_cover_flags, chiral_counts,
+                             mixed_regular_cover_flags,
                              chiral_lower_bound, BoundQuery,
                              weakest_chiral_bound, chiral_report)
 
@@ -22,7 +23,8 @@ print("enantiomorph order:", mirror.order, " chiral:", is_chiral(mirror))
 print("mix with mirror:", mix_order(skew, mirror),
       "-> smallest regular cover has",
       mixed_regular_cover_flags(skew), "flags")
-print("vertices/facets:", chiral_counts(skew))
+faces = f_vector(skew)
+print("vertices/facets:", (faces[0], faces[-1]))
 
 # the {3,3,8} rotation group with one extra relator: 192 elements,
 # 384 flags, which meets the rank-4 bound exactly

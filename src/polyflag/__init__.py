@@ -14,8 +14,8 @@ from .coset_enum import (CosetTable, CosetLimitExceeded, DEFAULT_MAX_COSETS,
                          enumerate_cosets, group_order, coset_action)
 from .permgroup import (Perm, word_image, orbit, build_chain,
                         membership_test, intersect_subgroups)
-from .stringc import (StringGroup, SggiViolation, CGroupVerdict,
-                      IntersectionWitness, build_string_group,
+from .stringc import (RegularGroup, StringGroup, SggiViolation,
+                      CGroupVerdict, IntersectionWitness, build_string_group,
                       is_string_c_group, intersection_condition_exhaustive,
                       dual)
 from .analysis import (AnalysisReport, FlagBound, analyze, flag_count,
@@ -31,8 +31,7 @@ from .constructions import (CertificateMismatch, AmalgamCollapse,
 from .chiral import (RotationGroup, RotationViolation, ChiralBound,
                      BoundQuery, StructureFacts, build_rotation_group,
                      is_chiral, enantiomorph, mix_order,
-                     mixed_regular_cover_flags, chiral_counts,
-                     chiral_f_vector, chiral_flat_pairs, is_tight_rotation,
+                     mixed_regular_cover_flags,
                      rotation_intersection_advisory, chiral_lower_bound,
                      weakest_chiral_bound, structure_constraint_audit,
                      rotation_torus_map, chiral_report)

@@ -1,11 +1,13 @@
-"""Flag-level analytics on string C-groups.
+"""Flag-level analytics on string C-groups and rotation groups.
 
 Face counts, flatness, tightness and the related counting bounds all
 reduce to subgroup index computations, because the i-faces of a regular
-polytope correspond to cosets of the parabolic subgroup omitting the
-i-th generator.  A polytope is (k,m)-flat when every k-face is incident
-to every m-face, which in group terms says the parabolics satisfy
-Gamma_m Gamma_k = Gamma; we decide that with the product formula
+or chiral polytope correspond to cosets of the stabilizer of the base
+i-face: for a string group the parabolic omitting the i-th generator.
+Counts, flatness and tightness take either group class.  A polytope is
+(k,m)-flat when every k-face is incident to every m-face, which in group
+terms says the face stabilizers satisfy Gamma_m Gamma_k = Gamma; we
+decide that with the product formula
 |A B| = |A||B| / |A cap B| on cached element sets rather than by
 touching any coset table.
 
@@ -64,19 +66,16 @@ class AnalysisReport:
 
 
 def flag_count(group):
-    """Flags of the polytope; the group acts freely transitively on them."""
-    return group.order
+    """Flags of the polytope: the group's order for a string group, which
+    acts freely transitively on them, twice that for a rotation group."""
+    return group.flag_count()
 
 
 def f_vector(group):
-    """Face counts by rank: entry i is the index of the parabolic
-    omitting generator i."""
-    n = group.rank
-    out = []
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        out.append(group.order // group.parabolic_order(others))
-    return tuple(out)
+    """Face counts by rank: entry i is the index of the stabilizer of the
+    base i-face."""
+    return tuple(group.order // len(group.face_stabilizer(i))
+                 for i in range(group.rank))
 
 
 def _flat_within(group, lo, hi, k, m):
@@ -94,11 +93,13 @@ def _flat_within(group, lo, hi, k, m):
 
 
 def is_flat_km(group, k, m):
-    """Every k-face incident to every m-face?"""
+    """Every k-face incident to every m-face?  The product formula on
+    the two face stabilizers, for a string or a rotation group."""
     n = group.rank
     if not 0 <= k < m <= n - 1:
         raise ValueError(f"need 0 <= k < m <= {n - 1}, got ({k}, {m})")
-    return _flat_within(group, 0, n - 1, k, m)
+    a, b = group.face_stabilizer(m), group.face_stabilizer(k)
+    return len(a) * len(b) == group.order * len(a & b)
 
 
 def flatness_spectrum(group):
@@ -124,8 +125,8 @@ def is_flat(group):
 
 
 def is_tight(group):
-    sym = group.schlafli_symbol()
-    return group.order == 2 * math.prod(sym)
+    """As few flags as the Schlafli symbol allows: 2 p_1 ... p_{n-1}."""
+    return group.flag_count() == 2 * math.prod(group.schlafli_symbol())
 
 
 def is_degenerate(group):
@@ -137,9 +138,11 @@ def covering_exists(cover_pres, target):
     the target group?  True exactly when every relator of the proposed
     cover evaluates to the identity in the target's faithful
     representation; for string C-groups this witnesses a covering of the
-    corresponding polytopes.
+    corresponding polytopes.  Presentations of another kind or generator
+    count than the target's never qualify.
     """
-    if cover_pres.num_generators != target.rank:
+    if (cover_pres.kind != target.pres.kind
+            or cover_pres.num_generators != target.pres.num_generators):
         return False
     return all(word_image(target.gens, w).is_identity()
                for w in cover_pres.relators)

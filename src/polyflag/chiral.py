@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 from .presentation import Word, Presentation, ROTATION, make_presentation
 from .coset_enum import enumerate_cosets, coset_action, DEFAULT_MAX_COSETS
-from .stringc import dual
+from .stringc import RegularGroup, dual
+from .analysis import f_vector, flatness_spectrum, is_tight
 from .constructions import torus_kind, check_torus_params, torus_order
 # build_chain is unused here, but perfbench/tracing.py installs a span at it
 from .permgroup import word_image, orbit, build_chain  # noqa: F401
@@ -46,42 +47,24 @@ class RotationViolation(Exception):
     """The presented group does not have rotation-subgroup shape."""
 
 
-class RotationGroup:
-    """A finite rotation group with its faithful regular representation."""
+class RotationGroup(RegularGroup):
+    """A finite rotation group; each element stands for two flags."""
 
-    def __init__(self, pres, table, gens):
-        self.pres = pres
-        self.table = table
-        self.gens = gens
-        self.order = table.num_cosets
-        self._orbits = {}
-        self.max_cosets = DEFAULT_MAX_COSETS
-
-    @property
-    def rank(self):
-        return self.pres.num_generators + 1
-
-    def schlafli_symbol(self):
-        return tuple(g.order() for g in self.gens)
+    def rotations(self):
+        return self.gens
 
     def flag_count(self):
         return 2 * self.order
 
     def word_orbit(self, words):
-        """Element set of the subgroup generated by the given words.
+        """Element set of the subgroup generated by the given words."""
+        return self._subgroup(
+            frozenset(words),
+            lambda key: [word_image(self.gens, w) for w in key])
 
-        Exact for the same reason as on the reflection side: the regular
-        action is free, and in a finite group forward images alone close
-        into the subgroup.
-        """
-        key = frozenset(words)
-        cached = self._orbits.get(key)
-        if cached is not None:
-            return cached
-        result = frozenset(
-            orbit([word_image(self.gens, w) for w in key], 0))
-        self._orbits[key] = result
-        return result
+    def face_stabilizer(self, i):
+        """Rotation stabilizer of the base i-face."""
+        return self.word_orbit(_stabilizer_words(self, i))
 
 
 def build_rotation_group(pres, max_cosets=DEFAULT_MAX_COSETS):
@@ -109,9 +92,7 @@ def build_rotation_group(pres, max_cosets=DEFAULT_MAX_COSETS):
             if not (prod * prod).is_identity():
                 raise RotationViolation(
                     f"(s{i + 1}...s{j + 1})^2 is not the identity")
-    group = RotationGroup(pres, table, gens)
-    group.max_cosets = max_cosets
-    return group
+    return RotationGroup(pres, table, gens, max_cosets)
 
 
 def _mirror_word(w):
@@ -216,37 +197,6 @@ def _stabilizer_words(group, i):
     words.append(Word.gen(i - 1) * Word.gen(i))
     words.extend(Word.gen(j) for j in range(i + 1, n - 1))
     return tuple(words)
-
-
-def chiral_counts(group):
-    """(vertices, facets): the ends of the f-vector."""
-    f = chiral_f_vector(group)
-    return f[0], f[-1]
-
-
-def chiral_f_vector(group):
-    n = group.rank
-    return tuple(
-        group.order // len(group.word_orbit(_stabilizer_words(group, i)))
-        for i in range(n))
-
-
-def chiral_flat_pairs(group):
-    """Flat pairs of the polytope, decided inside the rotation group by
-    the same product-formula test the reflection side uses."""
-    n = group.rank
-    out = []
-    for k in range(n - 1):
-        b = group.word_orbit(_stabilizer_words(group, k))
-        for m in range(k + 1, n):
-            a = group.word_orbit(_stabilizer_words(group, m))
-            if len(a) * len(b) == group.order * len(a & b):
-                out.append((k, m))
-    return tuple(out)
-
-
-def is_tight_rotation(group):
-    return group.order == math.prod(group.schlafli_symbol())
 
 
 def rotation_intersection_advisory(group):
@@ -446,14 +396,14 @@ def chiral_report(group, facts=None):
     flags = group.flag_count()
     cover = mixed_regular_cover_flags(group)
     chiral = cover != flags
-    vertices, facets = chiral_counts(group)
+    faces = f_vector(group)
     if facts is None:
         facts = StructureFacts(
             rank=group.rank,
             facet=None,
             vertex_figure=None,
-            flat_pairs=chiral_flat_pairs(group),
-            tight=is_tight_rotation(group),
+            flat_pairs=flatness_spectrum(group),
+            tight=is_tight(group),
         )
     if chiral:
         bound = weakest_chiral_bound(group.rank)
@@ -465,8 +415,8 @@ def chiral_report(group, facts=None):
         "order": group.order,
         "flags": flags,
         "is_chiral": chiral,
-        "vertices": vertices,
-        "facets": facets,
+        "vertices": faces[0],
+        "facets": faces[-1],
         "mixed_cover_flags": cover,
         "bound_check": bound_check,
         "audit_violations": list(structure_constraint_audit(facts)),

@@ -14,6 +14,7 @@ not parse.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,14 +24,13 @@ from .presentation import parse_presentation, PresentationError, REFLECTION
 from .coset_enum import CosetLimitExceeded, DEFAULT_MAX_COSETS
 from .stringc import (build_string_group, SggiViolation,
                       intersection_condition_exhaustive)
-from .analysis import analyze, min_nonflat_flags
+from .analysis import analyze, min_nonflat_flags, flatness_spectrum, is_tight
 from .constructions import (FamilySpec, build_family, table2_witness,
                             CertificateMismatch, AmalgamCollapse,
                             TORUS_FAMILIES, is_regular_torus, expected_order)
 from .chiral import (build_rotation_group, rotation_torus_map, chiral_report,
                      RotationViolation, chiral_lower_bound, BoundQuery,
-                     StructureFacts, structure_constraint_audit,
-                     chiral_flat_pairs, is_tight_rotation)
+                     StructureFacts, structure_constraint_audit)
 from . import corpus
 
 ENV_MAX_COSETS = "POLYFLAG_MAX_COSETS"
@@ -132,9 +132,6 @@ def _parse_section(token):
 
 def _parse_family(family, raw_params):
     if family == "amalgam":
-        if len(raw_params) != 2:
-            raise ValueError(
-                "amalgam needs two section specs like coxeter:4,3")
         return FamilySpec("amalgam",
                           sections=tuple(_parse_section(t)
                                          for t in raw_params))
@@ -292,8 +289,8 @@ def _verify_props(args, results):
                 rank=group.rank,
                 facet=expected.get("facet_kind"),
                 vertex_figure=expected.get("vf_kind"),
-                flat_pairs=chiral_flat_pairs(group),
-                tight=is_tight_rotation(group))
+                flat_pairs=flatness_spectrum(group),
+                tight=is_tight(group))
             violations = list(structure_constraint_audit(facts))
         ok = not violations
         failures += not ok
@@ -316,17 +313,27 @@ def cmd_verify(args):
 
 
 def build_parser():
+    """The command-line parser.  It is built once and shared; every call
+    sets its --max-cosets default afresh from the environment."""
     raw = os.environ.get(ENV_MAX_COSETS, str(DEFAULT_MAX_COSETS))
     try:
         max_cosets = int(raw)
     except ValueError:
         raise ValueError(
             f"{ENV_MAX_COSETS} is not an integer: {raw!r}") from None
+    parser = _parser()
+    parser.set_defaults(max_cosets=max_cosets)
+    return parser
+
+
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="polyflag",
         description="regular and chiral polytope analysis from group "
                     "presentations")
-    parser.add_argument("--max-cosets", type=int, default=max_cosets,
+    parser.add_argument("--max-cosets", type=int,
+                        default=DEFAULT_MAX_COSETS,
                         help="enumeration size limit (env "
                              f"{ENV_MAX_COSETS})")
     parser.add_argument("--json", action="store_true",

@@ -9,7 +9,8 @@ All subgroup computations here ride on the regular representation coming
 out of the coset enumeration: a subgroup's elements are exactly the orbit
 of the trivial coset under its generators, so subgroup orders and
 pairwise intersections are plain orbit computations, cached per
-generator subset.
+generator subset.  RegularGroup holds that representation and cache for
+string groups and rotation groups alike.
 """
 
 from __future__ import annotations
@@ -46,47 +47,70 @@ class CGroupVerdict:
         return self.ok
 
 
-class StringGroup:
-    """A finite string group with its faithful regular representation."""
+class RegularGroup:
+    """A finite group with its faithful regular representation, from a
+    reflection or a rotation presentation.
 
-    def __init__(self, pres, table, gens):
+    The regular action is free, so the orbit of the trivial coset under
+    any set of elements is the subgroup they generate; each such element
+    set is computed once and cached.  Subclasses say which elements the
+    rotations are, how many flags there are and which subgroup fixes the
+    base i-face.
+    """
+
+    def __init__(self, pres, table, gens, max_cosets=DEFAULT_MAX_COSETS):
         self.pres = pres
         self.table = table
         self.gens = gens
         self.order = table.num_cosets
+        self.max_cosets = max_cosets
         self._orbits = {}
-        self._slice_ok = {}
         self._schlafli = None
-        self.max_cosets = DEFAULT_MAX_COSETS
 
     @property
     def rank(self):
-        return self.pres.num_generators
+        return self.pres.rank
+
+    def _subgroup(self, key, elements):
+        """Element set of the subgroup generated by elements(key), cached
+        under key."""
+        found = self._orbits.get(key)
+        if found is None:
+            found = self._orbits[key] = frozenset(orbit(elements(key), 0))
+        return found
+
+    def schlafli_symbol(self):
+        """Orders of the rotations, computed once per group."""
+        if self._schlafli is None:
+            self._schlafli = tuple(g.order() for g in self.rotations())
+        return self._schlafli
+
+
+class StringGroup(RegularGroup):
+    """A finite string group; its elements are the flags."""
+
+    def __init__(self, pres, table, gens, max_cosets=DEFAULT_MAX_COSETS):
+        super().__init__(pres, table, gens, max_cosets)
+        self._slice_ok = {}
+
+    def rotations(self):
+        return [self.gens[i - 1] * self.gens[i]
+                for i in range(1, self.rank)]
+
+    def flag_count(self):
+        return self.order
 
     def parabolic_orbit(self, subset):
-        """Element set of the subgroup those generators produce.
-
-        In the regular representation the orbit of the trivial coset under
-        a subgroup is the subgroup itself, so this is exact.
-        """
-        key = frozenset(subset)
-        cached = self._orbits.get(key)
-        if cached is not None:
-            return cached
-        result = frozenset(orbit([self.gens[i] for i in sorted(key)], 0))
-        self._orbits[key] = result
-        return result
+        """Element set of the subgroup those generators produce."""
+        return self._subgroup(frozenset(subset),
+                              lambda key: [self.gens[i] for i in sorted(key)])
 
     def parabolic_order(self, subset):
         return len(self.parabolic_orbit(subset))
 
-    def schlafli_symbol(self):
-        """Orders of the adjacent products, computed once per group."""
-        if self._schlafli is None:
-            self._schlafli = tuple(
-                (self.gens[i - 1] * self.gens[i]).order()
-                for i in range(1, self.rank))
-        return self._schlafli
+    def face_stabilizer(self, i):
+        """The parabolic omitting r_i: the stabilizer of the base i-face."""
+        return self.parabolic_orbit(j for j in range(self.rank) if j != i)
 
 
 def build_string_group(pres, max_cosets=DEFAULT_MAX_COSETS):
@@ -112,9 +136,7 @@ def build_string_group(pres, max_cosets=DEFAULT_MAX_COSETS):
             if not (gens[i] * gens[j] * gens[i] * gens[j]).is_identity():
                 raise SggiViolation(
                     f"generators r{i} and r{j} do not commute")
-    group = StringGroup(pres, table, gens)
-    group.max_cosets = max_cosets
-    return group
+    return StringGroup(pres, table, gens, max_cosets)
 
 
 def dual(group):
@@ -136,10 +158,9 @@ def dual(group):
                     action=tuple(row[::-1] for row in group.table.action))
     if not relators_close(new_pres, table):
         raise AssertionError("dual table does not satisfy the dual relators")
-    out = type(group)(new_pres, table,
-                      [g.inverse() for g in reversed(group.gens)])
-    out.max_cosets = group.max_cosets
-    return out
+    return type(group)(new_pres, table,
+                       [g.inverse() for g in reversed(group.gens)],
+                       group.max_cosets)
 
 
 def _slice_check(group, lo, hi):

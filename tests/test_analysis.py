@@ -14,6 +14,7 @@ from polyflag.analysis import (
     min_nonflat_flags,
 )
 from polyflag.constructions import coxeter, torus_map, simplex_extension
+from polyflag.chiral import rotation_torus_map
 
 
 def test_simplex_f_vector_against_combinatorics():
@@ -75,6 +76,19 @@ def test_is_flat_km_validates_range():
         is_flat_km(group, 0, 3)
 
 
+@pytest.mark.parametrize("kind", ["44", "36", "63"])
+@pytest.mark.parametrize("b, c", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 2)])
+def test_regular_torus_string_and_rotation_groups_agree(kind, b, c):
+    # a regular map is carried by both group classes; the shared counts,
+    # flatness and tightness must not tell them apart
+    string, rotation = torus_map(kind, b, c), rotation_torus_map(kind, b, c)
+    assert string.flag_count() == rotation.flag_count()
+    assert f_vector(string) == f_vector(rotation)
+    assert flatness_spectrum(string) == flatness_spectrum(rotation)
+    assert is_tight(string) == is_tight(rotation)
+    assert string.schlafli_symbol() == rotation.schlafli_symbol()
+
+
 def test_section_flat_pairs_match_section_analysis():
     from polyflag.constructions import universal_amalgam
     amal = universal_amalgam(coxeter(4, 3), torus_map("36", 1, 1))
@@ -97,6 +111,15 @@ def test_covering_exists_directions():
     # a torus map does not cover the cube: its translation relator
     # fails there
     assert not covering_exists(small.pres, coxeter(4, 3))
+    # rotation groups: the relators of {4,4}_(2,2) hold in {4,4}_(2,0),
+    # and not the other way round
+    big_rot = rotation_torus_map("44", 2, 2)
+    small_rot = rotation_torus_map("44", 2, 0)
+    assert covering_exists(big_rot.pres, small_rot)
+    assert not covering_exists(small_rot.pres, big_rot)
+    # a reflection presentation never maps onto a rotation group, even
+    # of the same rank
+    assert not covering_exists(universal, small_rot)
 
 
 def test_covering_requires_matching_rank():

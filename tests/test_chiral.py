@@ -10,15 +10,14 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from polyflag.presentation import (Word, Presentation, make_presentation,
                                    REFLECTION, ROTATION)
 from polyflag.constructions import coxeter, torus_map
-from polyflag.analysis import analyze
+from polyflag.analysis import analyze, f_vector, flatness_spectrum, is_tight
 from polyflag import chiral
 from polyflag.corpus import load_entry
 from polyflag.permgroup import orbit, word_image
 from polyflag.stringc import dual
 from polyflag.chiral import (
     RotationGroup, RotationViolation, build_rotation_group, is_chiral,
-    enantiomorph, mix_order, mixed_regular_cover_flags, chiral_counts,
-    chiral_f_vector, chiral_flat_pairs, is_tight_rotation,
+    enantiomorph, mix_order, mixed_regular_cover_flags,
     rotation_intersection_advisory,
     ChiralBound, BoundQuery, chiral_lower_bound, weakest_chiral_bound,
     StructureFacts, structure_constraint_audit, rotation_torus_map,
@@ -305,16 +304,17 @@ def test_dual_of_rank4_rotation_group_keeps_rotation_shape():
 
 def test_chiral_counts_and_f_vector():
     group = rotation_torus_map("44", 1, 2)
-    assert chiral_counts(group) == (5, 5)
-    assert chiral_f_vector(group) == (5, 10, 5)
-    assert chiral_flat_pairs(group) == ()
-    assert not is_tight_rotation(group)
+    faces = f_vector(group)
+    assert (faces[0], faces[-1]) == (5, 5)
+    assert faces == (5, 10, 5)
+    assert flatness_spectrum(group) == ()
+    assert not is_tight(group)
 
 
 def test_tight_rotation_group():
     group = rotation_torus_map("44", 2, 0)
-    assert is_tight_rotation(group)  # 16 = 4 * 4
-    assert chiral_flat_pairs(group) == ((0, 2),)
+    assert is_tight(group)  # 16 = 4 * 4
+    assert flatness_spectrum(group) == ((0, 2),)
 
 
 def test_338_polytope():
@@ -323,11 +323,12 @@ def test_338_polytope():
     assert group.flag_count() == 384
     assert group.schlafli_symbol() == (3, 3, 8)
     assert is_chiral(group)
-    vertices, facets = chiral_counts(group)
+    faces = f_vector(group)
+    vertices, facets = faces[0], faces[-1]
     assert (vertices, facets) == (4, 16)
     assert vertices >= 3 and facets >= 3
     assert rotation_intersection_advisory(group)
-    assert not is_tight_rotation(group)
+    assert not is_tight(group)
     assert mixed_regular_cover_flags(group) == 768
     # the flag count meets the rank-4 regular/regular bound exactly
     bound = chiral_lower_bound(BoundQuery(4, "regular", "regular"))
@@ -340,8 +341,8 @@ def test_338_structure_audit_clean():
         rank=4,
         facet=analyze(coxeter(3, 3)),
         vertex_figure="regular",
-        flat_pairs=chiral_flat_pairs(group),
-        tight=is_tight_rotation(group))
+        flat_pairs=flatness_spectrum(group),
+        tight=is_tight(group))
     assert structure_constraint_audit(facts) == []
 
 

@@ -97,6 +97,15 @@ def test_analyze_coset_limit_env(tmp_path, capsys, monkeypatch):
     assert "enumeration limit" in err
 
 
+def test_env_coset_cap_read_on_every_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once; the cap in the environment is not
+    path = corpus_file(tmp_path, "cube-4")
+    monkeypatch.setenv(ENV_MAX_COSETS, "10")
+    assert run(capsys, "analyze", path)[0] == 2
+    monkeypatch.delenv(ENV_MAX_COSETS)
+    assert run(capsys, "analyze", path)[0] == 0
+
+
 def test_env_default_in_parser(monkeypatch):
     monkeypatch.setenv(ENV_MAX_COSETS, "12345")
     args = build_parser().parse_args(["verify", "props"])
@@ -157,7 +166,7 @@ def test_construct_amalgam(capsys):
 def test_construct_amalgam_needs_two_sections(capsys):
     code, _, err = run(capsys, "construct", "amalgam", "coxeter:4,3")
     assert code == 1
-    assert "two section specs" in err
+    assert "amalgam takes 2 section(s), got 1" in err
 
 
 def test_construct_named(capsys):

@@ -86,6 +86,8 @@ def test_chiral_cover_traced_without_stabilizer_chains(perfbench, tmp_path):
     assert outcomes == ["exit_0"] * 3
     layers = tracing.layer_metrics(tracer)
     assert layers["chiral.mix_order_self_s"] > 0
+    # rotation face stabilizers still pass through the traced word_orbit
+    assert layers["chiral.word_orbit_calls"] > 0
     assert layers["permgroup.build_chain_calls"] == 0
     assert layers["permgroup.perm_mul_calls"] == 0
 

@@ -8,6 +8,7 @@ from polyflag.stringc import (
     SggiViolation, build_string_group, is_string_c_group,
     intersection_condition_exhaustive, dual,
 )
+from polyflag.chiral import build_rotation_group
 
 
 def cox(*periods):
@@ -74,8 +75,14 @@ def test_parabolic_orbit_is_cached():
     assert a is b  # same frozenset key
 
 
-def test_schlafli_symbol_is_cached(monkeypatch):
-    group = cox(4, 3, 3)
+def rot(*periods):
+    return build_rotation_group(
+        make_presentation(ROTATION, len(periods) + 1, list(periods)))
+
+
+@pytest.mark.parametrize("build", [cox, rot], ids=["string", "rotation"])
+def test_schlafli_symbol_is_cached(monkeypatch, build):
+    group = build(4, 3, 3)
     symbol = group.schlafli_symbol()
     # a second call reads the cache and takes no permutation order again
     monkeypatch.setattr(type(group.gens[0]), "order",
@@ -112,6 +119,14 @@ def test_dual_reverses_symbol():
     assert d.order == group.order
     assert d.schlafli_symbol() == (4, 3)
     assert is_string_c_group(d).ok
+
+
+@pytest.mark.parametrize("kind, build", [(REFLECTION, build_string_group),
+                                         (ROTATION, build_rotation_group)])
+def test_dual_keeps_coset_cap(kind, build):
+    group = build(make_presentation(kind, 3, [4, 3]), 5000)
+    assert group.max_cosets == 5000
+    assert dual(group).max_cosets == group.max_cosets
 
 
 def test_double_dual_identity():
