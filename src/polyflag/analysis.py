@@ -78,20 +78,6 @@ def f_vector(group):
                  for i in range(group.rank))
 
 
-def _flat_within(group, lo, hi, k, m):
-    """(k,m)-flatness of the section on generators lo..hi.
-
-    Indices k < m are relative to the section.  Works off the product
-    formula: the two face stabilizers fill the section group exactly
-    when |A||B| = |section| * |A cap B|.
-    """
-    span = list(range(lo, hi + 1))
-    a = group.parabolic_orbit(j for j in span if j != lo + m)
-    b = group.parabolic_orbit(j for j in span if j != lo + k)
-    whole = group.parabolic_order(span)
-    return len(a) * len(b) == whole * len(a & b)
-
-
 def is_flat_km(group, k, m):
     """Every k-face incident to every m-face?  The product formula on
     the two face stabilizers, for a string or a rotation group."""
@@ -111,9 +97,7 @@ def flatness_spectrum(group):
 def section_flat_pairs(group, lo, hi):
     """Flat pairs of the section polytope on generators lo..hi,
     with indices relative to the section."""
-    r = hi - lo + 1
-    return tuple((k, m) for k in range(r - 1) for m in range(k + 1, r)
-                 if _flat_within(group, lo, hi, k, m))
+    return flatness_spectrum(group.section(lo, hi))
 
 
 def is_flat(group):

@@ -50,17 +50,15 @@ class RotationViolation(Exception):
 class RotationGroup(RegularGroup):
     """A finite rotation group; each element stands for two flags."""
 
+    @property
+    def rank(self):
+        return len(self.gens) + 1
+
     def rotations(self):
         return self.gens
 
     def flag_count(self):
         return 2 * self.order
-
-    def word_orbit(self, words):
-        """Element set of the subgroup generated by the given words."""
-        return self._subgroup(
-            frozenset(words),
-            lambda key: [word_image(self.gens, w) for w in key])
 
     def face_stabilizer(self, i):
         """Rotation stabilizer of the base i-face."""
@@ -386,25 +384,23 @@ def rotation_torus_map(kind, b, c, max_cosets=DEFAULT_MAX_COSETS):
     return group
 
 
-def chiral_report(group, facts=None):
+def chiral_report(group):
     """JSON-ready analysis of a rotation group.
 
-    When structure facts are not supplied, an auditable subset is
-    assembled from what the group alone determines: its own flat pairs
-    and tightness, with section kinds left unknown.
+    The structure audit runs on what the group alone determines: its own
+    flat pairs and tightness, with section kinds left unknown.
     """
     flags = group.flag_count()
     cover = mixed_regular_cover_flags(group)
     chiral = cover != flags
     faces = f_vector(group)
-    if facts is None:
-        facts = StructureFacts(
-            rank=group.rank,
-            facet=None,
-            vertex_figure=None,
-            flat_pairs=flatness_spectrum(group),
-            tight=is_tight(group),
-        )
+    facts = StructureFacts(
+        rank=group.rank,
+        facet=None,
+        vertex_figure=None,
+        flat_pairs=flatness_spectrum(group),
+        tight=is_tight(group),
+    )
     if chiral:
         bound = weakest_chiral_bound(group.rank)
         bound_check = {"minimum_flags": bound, "flags": flags,

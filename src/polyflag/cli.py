@@ -7,8 +7,8 @@ over the bundled corpus.
 
 Exit codes: 0 clean; 1 for any domain-level failure (intersection
 condition fails, audit violations, certificate mismatch, amalgam
-collapse); 2 when the coset limit is hit; 3 when the input file does
-not parse.
+collapse) or bad arguments; 2 when the coset limit is hit; 3 when the
+input file does not parse.
 """
 
 from __future__ import annotations
@@ -280,9 +280,9 @@ def _verify_props(args, results):
             group = build_string_group(pres, args.max_cosets)
             report = analyze(group)
             violations = list(report.audit_violations)
-            if report.c_group and group.order <= args.oracle_limit:
-                if not intersection_condition_exhaustive(group).ok:
-                    violations.append("exhaustive_oracle_disagrees")
+            if (report.c_group
+                    and not intersection_condition_exhaustive(group).ok):
+                violations.append("exhaustive_oracle_disagrees")
         else:
             group = build_rotation_group(pres, args.max_cosets)
             facts = StructureFacts(
@@ -326,9 +326,17 @@ def build_parser():
     return parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments raise ValueError, so main reports them with exit 1
+    like any other usage error; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyflag",
         description="regular and chiral polytope analysis from group "
                     "presentations")
@@ -338,8 +346,6 @@ def _parser():
                              f"{ENV_MAX_COSETS})")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON report")
-    parser.add_argument("--oracle-limit", type=int, default=2000,
-                        help="max order for exhaustive cross-checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="analyze a presentation file")

@@ -108,17 +108,21 @@ class Perm:
 
 
 def word_image(gens, word):
-    """Image of a word under a generator list, composed in reading order."""
-    p = Perm.identity(gens[0].degree)
+    """Image of a word under a generator list, composed in reading order.
+
+    The product starts from the first letter's permutation, so a
+    one-letter word costs no multiplication."""
+    p = None
     inverses = {}
     for g, e in word.letters:
         if e > 0:
-            p = p * gens[g]
+            q = gens[g]
         else:
             if g not in inverses:
                 inverses[g] = gens[g].inverse()
-            p = p * inverses[g]
-    return p
+            q = inverses[g]
+        p = q if p is None else p * q
+    return Perm.identity(gens[0].degree) if p is None else p
 
 
 def orbit(gens, start):

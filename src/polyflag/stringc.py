@@ -8,8 +8,8 @@ the intersection condition, which makes it a string C-group.
 All subgroup computations here ride on the regular representation coming
 out of the coset enumeration: a subgroup's elements are exactly the orbit
 of the trivial coset under its generators, so subgroup orders and
-pairwise intersections are plain orbit computations, cached per
-generator subset.  RegularGroup holds that representation and cache for
+pairwise intersections are plain orbit computations, cached per set of
+generating words.  RegularGroup holds that representation and cache for
 string groups and rotation groups alike.
 """
 
@@ -21,7 +21,7 @@ from itertools import combinations
 from .presentation import Word, REFLECTION
 from .coset_enum import (enumerate_cosets, coset_action, relators_close,
                          DEFAULT_MAX_COSETS)
-from .permgroup import orbit
+from .permgroup import orbit, word_image
 
 
 class SggiViolation(Exception):
@@ -49,35 +49,42 @@ class CGroupVerdict:
 
 class RegularGroup:
     """A finite group with its faithful regular representation, from a
-    reflection or a rotation presentation.
+    reflection or a rotation presentation, or a section of one.
 
     The regular action is free, so the orbit of the trivial coset under
     any set of elements is the subgroup they generate; each such element
     set is computed once and cached.  Subclasses say which elements the
-    rotations are, how many flags there are and which subgroup fixes the
-    base i-face.
+    rotations are, how many flags there are, which subgroup fixes the
+    base i-face and what the rank is.
     """
 
     def __init__(self, pres, table, gens, max_cosets=DEFAULT_MAX_COSETS):
         self.pres = pres
         self.table = table
         self.gens = gens
-        self.order = table.num_cosets
+        self.order = (len(orbit(gens, 0)) if table is None
+                      else table.num_cosets)
         self.max_cosets = max_cosets
         self._orbits = {}
         self._schlafli = None
 
-    @property
-    def rank(self):
-        return self.pres.rank
-
-    def _subgroup(self, key, elements):
-        """Element set of the subgroup generated by elements(key), cached
-        under key."""
+    def word_orbit(self, words):
+        """Element set of the subgroup generated by the given words."""
+        key = frozenset(words)
         found = self._orbits.get(key)
         if found is None:
-            found = self._orbits[key] = frozenset(orbit(elements(key), 0))
+            found = self._orbits[key] = frozenset(
+                orbit([word_image(self.gens, w) for w in key], 0))
         return found
+
+    def section(self, lo, hi):
+        """The section on generators lo..hi (inclusive): a group of the
+        same class on those generators, acting on the same points, with
+        no presentation and no table of its own."""
+        if not 0 <= lo <= hi < len(self.gens):
+            raise ValueError(f"need 0 <= lo <= hi < {len(self.gens)}, "
+                             f"got ({lo}, {hi})")
+        return type(self)(None, None, self.gens[lo:hi + 1], self.max_cosets)
 
     def schlafli_symbol(self):
         """Orders of the rotations, computed once per group."""
@@ -89,9 +96,9 @@ class RegularGroup:
 class StringGroup(RegularGroup):
     """A finite string group; its elements are the flags."""
 
-    def __init__(self, pres, table, gens, max_cosets=DEFAULT_MAX_COSETS):
-        super().__init__(pres, table, gens, max_cosets)
-        self._slice_ok = {}
+    @property
+    def rank(self):
+        return len(self.gens)
 
     def rotations(self):
         return [self.gens[i - 1] * self.gens[i]
@@ -102,8 +109,7 @@ class StringGroup(RegularGroup):
 
     def parabolic_orbit(self, subset):
         """Element set of the subgroup those generators produce."""
-        return self._subgroup(frozenset(subset),
-                              lambda key: [self.gens[i] for i in sorted(key)])
+        return self.word_orbit(Word.gen(i) for i in subset)
 
     def parabolic_order(self, subset):
         return len(self.parabolic_orbit(subset))
@@ -163,28 +169,6 @@ def dual(group):
                        group.max_cosets)
 
 
-def _slice_check(group, lo, hi):
-    """Intersection condition for the sggi on generators lo..hi."""
-    key = (lo, hi)
-    cached = group._slice_ok.get(key)
-    if cached is not None:
-        return cached
-    if hi - lo < 1:
-        ok = True
-    elif hi - lo == 1:
-        ok = group.gens[lo] != group.gens[hi]
-    else:
-        ok = (_slice_check(group, lo, hi - 1)
-              and _slice_check(group, lo + 1, hi))
-        if ok:
-            facet = group.parabolic_orbit(range(lo, hi))
-            vfig = group.parabolic_orbit(range(lo + 1, hi + 1))
-            middle = group.parabolic_orbit(range(lo + 1, hi))
-            ok = len(facet & vfig) == len(middle)
-    group._slice_ok[key] = ok
-    return ok
-
-
 def _witness_scan(group):
     """Smallest subset pair violating the intersection condition."""
     indices = range(group.rank)
@@ -204,17 +188,29 @@ def _witness_scan(group):
 
 
 def is_string_c_group(group):
-    """Recursive intersection-condition verdict.
+    """Intersection-condition verdict, window by window.
 
-    Rank at most two reduces to the generators being distinct; above that
-    the facet and vertex-figure sggis are checked recursively and their
-    intersection compared with the medial parabolic.  On failure the
+    Neighbouring generators must be distinct; on every window lo..hi of
+    three or more generators, narrowest first, the facet and
+    vertex-figure parabolics must meet in the medial one.  Together these
+    are the recursive condition on the whole string.  On failure the
     verdict carries the smallest offending subset pair.
     """
-    if _slice_check(group, 0, group.rank - 1):
+    n, gens = group.rank, group.gens
+    ok = all(gens[i] != gens[i + 1] for i in range(n - 1))
+    windows = ((lo, lo + width - 1) for width in range(3, n + 1)
+               for lo in range(n - width + 1))
+    for lo, hi in windows:
+        if not ok:
+            break
+        facet = group.parabolic_orbit(range(lo, hi))
+        vfig = group.parabolic_orbit(range(lo + 1, hi + 1))
+        middle = group.parabolic_orbit(range(lo + 1, hi))
+        ok = len(facet & vfig) == len(middle)
+    if ok:
         return CGroupVerdict(True)
     witness = _witness_scan(group)
-    if witness is None:  # recursion said no but no small witness: impossible
+    if witness is None:  # a window said no but no small witness: impossible
         raise AssertionError("inconsistent intersection verdicts")
     return CGroupVerdict(False, witness)
 

@@ -96,6 +96,11 @@ def test_section_flat_pairs_match_section_analysis():
     assert facet_pairs == flatness_spectrum(coxeter(4, 3))
 
 
+def test_section_analyzes_as_the_smaller_group():
+    assert analyze(coxeter(4, 3, 3).section(0, 2)).to_json() == \
+        analyze(coxeter(4, 3)).to_json()
+
+
 def test_lambda_polytopes_non_flat():
     for periods in ((6, 3), (6, 3, 3), (6, 6, 3)):
         group = simplex_extension(*periods)

@@ -335,6 +335,15 @@ def test_338_polytope():
     assert bound.exact and bound.value == group.flag_count()
 
 
+def test_338_sections_are_presentation_free():
+    group = rot338()
+    facet, vertex_figure = group.section(0, 1), group.section(1, 2)
+    assert (facet.schlafli_symbol(), facet.flag_count()) == ((3, 3), 24)
+    assert (vertex_figure.schlafli_symbol(),
+            vertex_figure.flag_count()) == ((3, 8), 96)
+    assert facet.pres is None and vertex_figure.pres is None
+
+
 def test_338_structure_audit_clean():
     group = rot338()
     facts = StructureFacts(

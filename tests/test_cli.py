@@ -122,6 +122,26 @@ def test_bad_env_coset_cap_is_an_error(monkeypatch, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("--max-cosets", "abc", "verify", "table3"),
+    ("--bogus", "verify", "table3"),
+    (),
+], ids=["bad-int", "unknown-option", "no-command"])
+def test_bad_arguments_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert "usage: polyflag" in capsys.readouterr().out
+
+
 def test_construct_coxeter(capsys):
     code, out, _ = run(capsys, "construct", "coxeter", "3", "3")
     assert code == 0

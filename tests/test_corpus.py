@@ -133,6 +133,19 @@ def test_flatness_transfers_to_sections(name, built_groups,
             assert (k - 1, m - 1) in vf_pairs
 
 
+@pytest.mark.parametrize("name", [n for n in NAMES if SIDECARS[n]["rank"] >= 3
+                                  and n != "p2-collapsed"])
+def test_sections_share_out_the_flags(name, built_groups):
+    # string: facet r0..r_{n-2}, vertex-figure r1..r_{n-1};
+    # rotation: facet s1..s_{n-2}, vertex-figure s2..s_{n-1}
+    group = built_groups[name]
+    top = len(group.gens) - 1
+    faces = f_vector(group)
+    flags = group.flag_count()
+    assert group.section(0, top - 1).flag_count() * faces[-1] == flags
+    assert group.section(1, top).flag_count() * faces[0] == flags
+
+
 @pytest.mark.parametrize("name", POLYTOPAL)
 def test_tight_iff_locally_flat(name, reflection_reports):
     report = reflection_reports[name]

@@ -90,6 +90,14 @@ def test_schlafli_symbol_is_cached(monkeypatch, build):
     assert group.schlafli_symbol() == symbol == (4, 3, 3)
 
 
+@pytest.mark.parametrize("build", [cox, rot], ids=["string", "rotation"])
+def test_section_rejects_windows_outside_the_generators(build):
+    group = build(4, 3, 3)
+    for lo, hi in ((-1, 1), (2, 1), (0, len(group.gens))):
+        with pytest.raises(ValueError):
+            group.section(lo, hi)
+
+
 def test_recursive_matches_exhaustive_small():
     for group in (cox(3, 3), cox(4, 3), cox(2, 2), cox(3, 3, 3)):
         assert is_string_c_group(group).ok
