@@ -7,8 +7,7 @@ from polyflag.presentation import Word, make_presentation
 from polyflag.analysis import f_vector
 from polyflag.chiral import (build_rotation_group, rotation_torus_map,
                              is_chiral, enantiomorph, mix_order,
-                             mixed_regular_cover_flags,
-                             chiral_lower_bound, BoundQuery,
+                             mixed_regular_cover_flags, chiral_lower_bound,
                              weakest_chiral_bound, chiral_report)
 
 # {4,4}_(b,c) is chiral exactly when b, c, b-c are all nonzero
@@ -39,7 +38,7 @@ for key in ("order", "flags", "is_chiral", "vertices", "facets",
 # minimum flag counts for chiral n-polytopes by section type
 print("rank  reg/reg   chiral/reg   chiral/chiral   weakest")
 for rank in range(4, 9):
-    cells = [chiral_lower_bound(BoundQuery(rank, fk, vk))
+    cells = [chiral_lower_bound(rank, fk, vk)
              for fk, vk in (("regular", "regular"),
                             ("chiral", "regular"),
                             ("chiral", "chiral"))]

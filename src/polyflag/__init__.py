@@ -28,9 +28,8 @@ from .constructions import (CertificateMismatch, AmalgamCollapse,
                             torus_map, hemi_icosahedron, universal_amalgam,
                             simplex_amalgam_check, table2_witness,
                             build_family)
-from .chiral import (RotationGroup, RotationViolation, ChiralBound,
-                     BoundQuery, StructureFacts, build_rotation_group,
-                     is_chiral, enantiomorph, mix_order,
+from .chiral import (RotationGroup, RotationViolation, StructureFacts,
+                     build_rotation_group, is_chiral, enantiomorph, mix_order,
                      mixed_regular_cover_flags,
                      rotation_intersection_advisory, chiral_lower_bound,
                      weakest_chiral_bound, structure_constraint_audit,

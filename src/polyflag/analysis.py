@@ -22,16 +22,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .presentation import REFLECTION, ROTATION
 from .permgroup import word_image
-from .stringc import is_string_c_group
+from .stringc import StringGroup, is_string_c_group
 
 
 @dataclass(frozen=True)
 class FlagBound:
-    """A flag-count bound; exact means attained, not just a lower bound."""
+    """A flag-count bound; exact means attained, not just a lower bound.
+    upper, when known, is the flag count of the smallest known example
+    above a non-exact bound."""
 
     value: int
     exact: bool
+    upper: int | None = None
 
 
 @dataclass(frozen=True)
@@ -122,11 +126,12 @@ def covering_exists(cover_pres, target):
     the target group?  True exactly when every relator of the proposed
     cover evaluates to the identity in the target's faithful
     representation; for string C-groups this witnesses a covering of the
-    corresponding polytopes.  Presentations of another kind or generator
-    count than the target's never qualify.
+    corresponding polytopes.  Presentations of another kind than the
+    target's class, or of another rank, never qualify; the target needs
+    no presentation of its own, so a section works too.
     """
-    if (cover_pres.kind != target.pres.kind
-            or cover_pres.num_generators != target.pres.num_generators):
+    kind = REFLECTION if isinstance(target, StringGroup) else ROTATION
+    if cover_pres.kind != kind or cover_pres.rank != target.rank:
         return False
     return all(word_image(target.gens, w).is_identity()
                for w in cover_pres.relators)

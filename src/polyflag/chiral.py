@@ -16,13 +16,13 @@ presents an isomorphic group whether or not the polytope is chiral.
 
 That isomorphism needs no second enumeration: the enantiomorph's group
 is G itself, generated by the mirror images t_i (the substitution
-evaluated in G).  The mix of G with its mirror image has kernel K, the
-normal closure of G's relators evaluated at the t_i, and the
-substitution extends to an automorphism exactly when every relator image
-is the identity, i.e. when K is trivial.  So the regular cover and the
-chirality verdict are both read off K.  Surjectivity needs no check,
-since the t_i always generate G: s_1 = (s_1^{-1})^{-1} and
-s_2 = s_1^{-2} (s_1^2 s_2).
+evaluated in G).  The mix of G with its mirror image projects onto G
+with kernel K, the elements w(t) for the words w with w(s) = 1, and the
+substitution extends to an automorphism exactly when K is trivial.  So
+the regular cover and the chirality verdict are both read off K, which
+mix_order finds from the two regular actions alone, with no presentation.
+Surjectivity needs no check, since the t_i always generate G:
+s_1 = (s_1^{-1})^{-1} and s_2 = s_1^{-2} (s_1^2 s_2).
 
 Subgroup orders here ride on the regular representation the same way the
 reflection side does: the orbit of the trivial coset under any set of
@@ -37,10 +37,11 @@ from dataclasses import dataclass
 from .presentation import Word, Presentation, ROTATION, make_presentation
 from .coset_enum import enumerate_cosets, coset_action, DEFAULT_MAX_COSETS
 from .stringc import RegularGroup, dual
-from .analysis import f_vector, flatness_spectrum, is_tight
+from .analysis import FlagBound, f_vector, flatness_spectrum, is_tight
 from .constructions import torus_kind, check_torus_params, torus_order
-# build_chain is unused here, but perfbench/tracing.py installs a span at it
-from .permgroup import word_image, orbit, build_chain  # noqa: F401
+from .permgroup import word_image
+# unused here, but the benchmark's tracer installs a span at chiral.build_chain
+from .permgroup import build_chain  # noqa: F401
 
 
 class RotationViolation(Exception):
@@ -119,11 +120,12 @@ def is_chiral(group):
     """True when the mirror substitution does NOT extend to an
     automorphism, i.e. the polytope exists in two enantiomorphic forms.
 
-    The substitution extends iff every defining relator maps to the
-    identity under the mirror images, i.e. iff the mirror kernel K is
-    trivial, i.e. iff the regular cover has no more flags than the
-    polytope.  It is then onto, hence bijective on a finite group: the
-    mirror images always generate G (see the module docstring).
+    The substitution extends iff every word trivial in G stays trivial
+    under the mirror images, i.e. iff the mirror kernel K is trivial,
+    i.e. iff the regular cover has no more flags than the polytope.  It
+    is then onto, hence bijective on a finite group: the mirror images
+    always generate G (see the module docstring).  Only the generators
+    are read, so sections work too.
     """
     return mixed_regular_cover_flags(group) != group.flag_count()
 
@@ -132,6 +134,8 @@ def enantiomorph(group):
     """The mirror-image rotation group, built from the substituted
     presentation.  Isomorphic to the original as an abstract group; the
     polytopes differ exactly when the group is chiral."""
+    if group.pres is None:
+        raise ValueError("a section has no presentation to mirror")
     mirrored = tuple(_mirror_word(w) for w in group.pres.relators)
     pres = Presentation(
         num_generators=group.pres.num_generators,
@@ -149,22 +153,48 @@ def mix_order(g, h):
     """Order of the mix: the subgroup of the direct product generated by
     the paired generators (s_i(g), s_i(h)).
 
-    The mix projects onto g with kernel K, the normal closure in h of g's
-    relators, so its order is |g| |K|.  K's elements are the orbit of 0
-    under the relator images in h, closed under conjugation by h's
-    generators: a conjugate that leaves the orbit joins the list.
+    The mix projects onto g with kernel K, the elements w(h) for the
+    words w trivial in g, so its order is |g| |K|.  A walk of g's regular
+    action from 0 carries each point x to f(x), the point of h reached
+    along the same word.  A step x -> y under s_i to a reached y closes a
+    word trivial in g, and those words generate all the others
+    (Schreier), so s_i(f(x)) and f(y) lie in one coset of K.  A
+    union-find closes these joins under h's generators (Atkinson's block
+    closure); |K| is the size of the class of 0, which is {0} exactly
+    when no join is needed.
     """
-    if g.pres.num_generators != h.pres.num_generators:
+    if len(g.gens) != len(h.gens):
         raise ValueError("mix needs equal generator counts")
-    normal = [word_image(h.gens, w) for w in g.pres.relators]
-    kernel = orbit(normal, 0)
-    for s in normal:  # the list grows while it is walked
-        for t in h.gens:
-            c = t.inverse() * s * t
-            if c(0) not in kernel:
-                normal.append(c)
-                kernel = orbit(normal, 0)
-    return g.order * len(kernel)
+    steps = [(s.images.tolist(), t.images.tolist())
+             for s, t in zip(g.gens, h.gens)]
+    f = [None] * g.gens[0].degree
+    f[0] = 0
+    reached, joins = [0], []
+    for x in reached:  # the list grows while it is walked
+        for s, t in steps:
+            y, fy = s[x], t[f[x]]
+            if f[y] is None:
+                f[y] = fy
+                reached.append(y)
+            elif fy != f[y]:
+                joins.append((fy, f[y]))
+    parent = list(range(h.gens[0].degree))
+    size = [1] * len(parent)
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for a, b in joins:  # the list grows while it is walked
+        a, b = find(a), find(b)
+        if a != b:
+            parent[b] = a
+            size[a] += size[b]
+            for _, t in steps:
+                joins.append((t[a], t[b]))
+    return g.order * size[find(0)]
 
 
 def mixed_regular_cover_flags(group):
@@ -172,10 +202,11 @@ def mixed_regular_cover_flags(group):
     twice the order of the mix with the enantiomorph, 2 |G| |K|.
 
     The enantiomorph is G under the mirror images, so the mix is taken
-    on G's own table with no second enumeration.  K is trivial, and the
-    cover is the polytope itself, exactly when the polytope is regular.
+    on G's points with no second enumeration: the mirror keeps G's table
+    for its order only, and claims no presentation.  K is trivial, and
+    the cover is the polytope itself, exactly when G is regular.
     """
-    mirror = RotationGroup(group.pres, group.table, _mirror_images(group))
+    mirror = RotationGroup(None, group.table, _mirror_images(group))
     return 2 * mix_order(group, mirror)
 
 
@@ -210,37 +241,18 @@ def rotation_intersection_advisory(group):
     return len(facet & vf) == len(mid)
 
 
-@dataclass(frozen=True)
-class ChiralBound:
-    """Flag-count bound for chiral polytopes of a given section profile.
+def chiral_lower_bound(rank, facet_kind, vf_kind):
+    """Minimum flag count of a chiral polytope with the given rank and
+    facet/vertex-figure kinds, as a FlagBound.
 
     exact means some polytope attains the value; upper, when present, is
     the flag count of the smallest known example above a non-exact
-    bound."""
-
-    value: int
-    exact: bool
-    upper: int | None = None
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    rank: int
-    facet_kind: str
-    vf_kind: str
-
-
-def chiral_lower_bound(query):
-    """Minimum flag count of a chiral polytope with the given rank and
-    facet/vertex-figure kinds.
-
-    A (regular, chiral) profile is the dual of (chiral, regular) and
-    shares its bound, so queries are normalized to chiral-first.  Rank 3
-    admits only the regular/regular profile: the sections of a
+    bound.  A (regular, chiral) profile is the dual of (chiral, regular)
+    and shares its bound, so profiles are normalized to chiral-first.
+    Rank 3 admits only the regular/regular profile: the sections of a
     polyhedron are polygons.
     """
-    n = query.rank
-    fk, vk = query.facet_kind, query.vf_kind
+    n, fk, vk = rank, facet_kind, vf_kind
     for kind in (fk, vk):
         if kind not in ("regular", "chiral"):
             raise ValueError(f"kind must be regular or chiral, got {kind!r}")
@@ -250,73 +262,60 @@ def chiral_lower_bound(query):
         fk, vk = "chiral", "regular"
     if (fk, vk) == ("regular", "regular"):
         if n == 3:
-            return ChiralBound(40, True)
+            return FlagBound(40, True)
         if n == 4:
-            return ChiralBound(384, True)
+            return FlagBound(384, True)
         if n == 5:
-            return ChiralBound(4004, False)
-        return ChiralBound(16 * n * math.factorial(n) // 3, False)
+            return FlagBound(4004, False)
+        return FlagBound(16 * n * math.factorial(n) // 3, False)
     if n == 3:
         raise ValueError("rank-3 sections are polygons, always regular")
     if (fk, vk) == ("chiral", "regular"):
         if n == 4:
-            return ChiralBound(240, True)
+            return FlagBound(240, True)
         if n == 5:
-            return ChiralBound(4004, False, upper=4608)
+            return FlagBound(4004, False, upper=4608)
         if n == 6:
-            return ChiralBound(18432, False)
-        return ChiralBound(16 * (n - 1) * math.factorial(n - 1), False)
+            return FlagBound(18432, False)
+        return FlagBound(16 * (n - 1) * math.factorial(n - 1), False)
     if n == 4:
-        return ChiralBound(240, True)
+        return FlagBound(240, True)
     if n == 5:
-        return ChiralBound(1440, True)
+        return FlagBound(1440, True)
     if n == 6:
-        return ChiralBound(18432, True)
+        return FlagBound(18432, True)
     if n == 7:
-        return ChiralBound(55296, False)
-    return ChiralBound(48 * (n - 2) * math.factorial(n - 2), False)
+        return FlagBound(55296, False)
+    return FlagBound(48 * (n - 2) * math.factorial(n - 2), False)
 
 
 def weakest_chiral_bound(rank):
     """Smallest bound over all section profiles valid at this rank: the
     flag count any chiral polytope of the rank must meet."""
     if rank == 3:
-        return chiral_lower_bound(BoundQuery(3, "regular", "regular")).value
-    return min(
-        chiral_lower_bound(BoundQuery(rank, fk, vk)).value
-        for fk in ("regular", "chiral") for vk in ("regular", "chiral"))
+        return chiral_lower_bound(3, "regular", "regular").value
+    return min(chiral_lower_bound(rank, fk, vk).value
+               for fk in ("regular", "chiral") for vk in ("regular", "chiral"))
 
 
 @dataclass(frozen=True)
 class StructureFacts:
     """What is known about a claimed chiral polytope, for auditing.
 
-    facet and vertex_figure each hold an AnalysisReport (a regular
-    section with full data), the bare marker "regular" (known regular,
-    no report), the marker "chiral", or None for unknown.  medial_kind
-    optionally classifies the rank-(n-2) medial sections.  Checks whose
-    inputs are unknown are skipped, so the audit only reports definite
-    contradictions.
+    facet_kind, vf_kind and medial_kind are "regular", "chiral" or None
+    for unknown; medial_kind classifies the rank-(n-2) medial sections.
+    facet_flat_pairs, when known, is the facet's own flatness spectrum.
+    Checks whose inputs are unknown are skipped, so the audit only
+    reports definite contradictions.
     """
 
     rank: int
-    facet: object
-    vertex_figure: object
+    facet_kind: str | None
+    vf_kind: str | None
     flat_pairs: tuple
     tight: bool
     medial_kind: str | None = None
-
-
-def _section_kind(section):
-    if section is None:
-        return None
-    if isinstance(section, str):
-        return section
-    return "regular"  # an AnalysisReport describes a regular section
-
-
-def _section_report(section):
-    return None if section is None or isinstance(section, str) else section
+    facet_flat_pairs: tuple | None = None
 
 
 def structure_constraint_audit(facts):
@@ -332,18 +331,14 @@ def structure_constraint_audit(facts):
     """
     violations = []
     n = facts.rank
-    fk = _section_kind(facts.facet)
-    vk = _section_kind(facts.vertex_figure)
-    facet_report = _section_report(facts.facet)
+    fk, vk = facts.facet_kind, facts.vf_kind
     flats = set(facts.flat_pairs)
+    facet_flats = set(facts.facet_flat_pairs or ())
 
-    if (fk == "regular" and vk == "regular" and facet_report is not None
-            and facet_report.is_flat):
+    if fk == "regular" and vk == "regular" and (0, n - 2) in facet_flats:
         violations.append("flat_regular_facets")
-    if fk == "regular" and facet_report is not None:
-        nf = facet_report.rank
-        if nf >= 3 and (1, nf - 1) in set(facet_report.flat_pairs):
-            violations.append("forbidden_facet_flatness")
+    if fk == "regular" and n >= 4 and (1, n - 2) in facet_flats:
+        violations.append("forbidden_facet_flatness")
     if n >= 5 and ((1, n - 3) in flats or (2, n - 2) in flats):
         violations.append("excessive_flatness")
     if facts.tight and n >= 6:
@@ -394,13 +389,9 @@ def chiral_report(group):
     cover = mixed_regular_cover_flags(group)
     chiral = cover != flags
     faces = f_vector(group)
-    facts = StructureFacts(
-        rank=group.rank,
-        facet=None,
-        vertex_figure=None,
-        flat_pairs=flatness_spectrum(group),
-        tight=is_tight(group),
-    )
+    facts = StructureFacts(group.rank, facet_kind=None, vf_kind=None,
+                           flat_pairs=flatness_spectrum(group),
+                           tight=is_tight(group))
     if chiral:
         bound = weakest_chiral_bound(group.rank)
         bound_check = {"minimum_flags": bound, "flags": flags,

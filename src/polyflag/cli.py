@@ -29,8 +29,8 @@ from .constructions import (FamilySpec, build_family, table2_witness,
                             CertificateMismatch, AmalgamCollapse,
                             TORUS_FAMILIES, is_regular_torus, expected_order)
 from .chiral import (build_rotation_group, rotation_torus_map, chiral_report,
-                     RotationViolation, chiral_lower_bound, BoundQuery,
-                     StructureFacts, structure_constraint_audit)
+                     RotationViolation, chiral_lower_bound, StructureFacts,
+                     structure_constraint_audit)
 from . import corpus
 
 ENV_MAX_COSETS = "POLYFLAG_MAX_COSETS"
@@ -233,7 +233,7 @@ def _verify_table3(args, results):
     for rank, fk, vk, value, attained in _TABLE3_CELLS:
         if not lo <= rank <= hi:
             continue
-        bound = chiral_lower_bound(BoundQuery(rank, fk, vk))
+        bound = chiral_lower_bound(rank, fk, vk)
         ok = bound.value == value and bound.exact == attained
         failures += not ok
         results.append({"rank": rank, "facet": fk, "vertex_figure": vk,
@@ -244,9 +244,9 @@ def _verify_table3(args, results):
     if hi >= 8:
         chain_bad = 0
         for n in range(8, 17):
-            cc = chiral_lower_bound(BoundQuery(n, "chiral", "chiral")).value
-            cr = chiral_lower_bound(BoundQuery(n, "chiral", "regular")).value
-            rr = chiral_lower_bound(BoundQuery(n, "regular", "regular")).value
+            cc = chiral_lower_bound(n, "chiral", "chiral").value
+            cr = chiral_lower_bound(n, "chiral", "regular").value
+            rr = chiral_lower_bound(n, "regular", "regular").value
             ok = cc < cr < rr
             chain_bad += not ok
             results.append({"rank": n, "chain": [cc, cr, rr], "ok": ok})
@@ -260,8 +260,8 @@ def _verify_table3(args, results):
         if not lo <= pres.rank <= hi:
             continue
         group = build_rotation_group(pres, args.max_cosets)
-        bound = chiral_lower_bound(BoundQuery(
-            group.rank, expected["facet_kind"], expected["vf_kind"]))
+        bound = chiral_lower_bound(
+            group.rank, expected["facet_kind"], expected["vf_kind"])
         flags = group.flag_count()
         ok = flags >= bound.value
         failures += not ok
@@ -287,8 +287,8 @@ def _verify_props(args, results):
             group = build_rotation_group(pres, args.max_cosets)
             facts = StructureFacts(
                 rank=group.rank,
-                facet=expected.get("facet_kind"),
-                vertex_figure=expected.get("vf_kind"),
+                facet_kind=expected.get("facet_kind"),
+                vf_kind=expected.get("vf_kind"),
                 flat_pairs=flatness_spectrum(group),
                 tight=is_tight(group))
             violations = list(structure_constraint_audit(facts))

@@ -14,7 +14,7 @@ kept freely reduced.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections import Counter
 
 REFLECTION = "reflection"

@@ -151,8 +151,13 @@ def dual(group):
     string of reflections is just reversed.  No re-enumeration: each row
     of the regular action is read backwards (column x becomes 2n-1-x), and
     the table is proved against the relators, each rewritten as its
-    inverse in the new generators.  dual(dual(g)) equals g.
+    inverse in the new generators.  A section has neither presentation
+    nor table, so its dual is just the reversed, inverted generators.
+    dual(dual(g)) equals g.
     """
+    gens = [g.inverse() for g in reversed(group.gens)]
+    if group.pres is None:
+        return type(group)(None, None, gens, group.max_cosets)
     pres, n = group.pres, group.pres.num_generators
     sym = pres.declared_schlafli
     relators = tuple(
@@ -164,9 +169,7 @@ def dual(group):
                     action=tuple(row[::-1] for row in group.table.action))
     if not relators_close(new_pres, table):
         raise AssertionError("dual table does not satisfy the dual relators")
-    return type(group)(new_pres, table,
-                       [g.inverse() for g in reversed(group.gens)],
-                       group.max_cosets)
+    return type(group)(new_pres, table, gens, group.max_cosets)
 
 
 def _witness_scan(group):

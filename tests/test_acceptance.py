@@ -24,7 +24,7 @@ from polyflag.permgroup import orbit, build_chain, brute_force_closure
 from polyflag.chiral import (build_rotation_group, rotation_torus_map,
                              is_chiral, mixed_regular_cover_flags,
                              structure_constraint_audit,
-                             StructureFacts, chiral_lower_bound, BoundQuery)
+                             StructureFacts, chiral_lower_bound)
 from polyflag.corpus import corpus_names, load_entry
 
 
@@ -198,8 +198,9 @@ def test_acceptance_6_chiral_suite():
     _check(failures, deep.flag_count() == 384, "flags")
     _check(failures, is_chiral(deep), "not chiral")
     facts = StructureFacts(
-        rank=4, facet=analyze(coxeter(3, 3)), vertex_figure="regular",
-        flat_pairs=flatness_spectrum(deep), tight=is_tight(deep))
+        rank=4, facet_kind="regular", vf_kind="regular",
+        flat_pairs=flatness_spectrum(deep), tight=is_tight(deep),
+        facet_flat_pairs=analyze(coxeter(3, 3)).flat_pairs)
     _check(failures, structure_constraint_audit(facts) == [],
            "audit not empty")
     chiral_examples = [skew, deep, rotation_torus_map("36", 1, 2),
@@ -229,7 +230,7 @@ def test_acceptance_7_bound_formulas(corpus):
         (7, "regular", "regular", 188160),
     ]
     for rank, fk, vk, value in cells:
-        got = chiral_lower_bound(BoundQuery(rank, fk, vk)).value
+        got = chiral_lower_bound(rank, fk, vk).value
         _check(failures, got == value, f"({rank},{fk},{vk}) = {got}")
     rank8 = {
         ("regular", "regular"): 16 * 8 * math.factorial(8) // 3,
@@ -240,7 +241,7 @@ def test_acceptance_7_bound_formulas(corpus):
     _check(failures, rank8[("chiral", "regular")] == 564480, "cr8 value")
     _check(failures, rank8[("chiral", "chiral")] == 207360, "cc8 value")
     for (fk, vk), value in rank8.items():
-        got = chiral_lower_bound(BoundQuery(8, fk, vk)).value
+        got = chiral_lower_bound(8, fk, vk).value
         _check(failures, got == value, f"rank-8 {fk}/{vk} = {got}")
     for n in range(8, 17):
         cc = 48 * (n - 2) * math.factorial(n - 2)
@@ -250,8 +251,8 @@ def test_acceptance_7_bound_formulas(corpus):
     for name, expected, group in corpus:
         if expected["kind"] != "rotation" or not expected["is_chiral"]:
             continue
-        bound = chiral_lower_bound(BoundQuery(
-            group.rank, expected["facet_kind"], expected["vf_kind"]))
+        bound = chiral_lower_bound(
+            group.rank, expected["facet_kind"], expected["vf_kind"])
         _check(failures, group.flag_count() >= bound.value,
                f"{name} under bound")
     _verdict(7, failures)

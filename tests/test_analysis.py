@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from polyflag.presentation import Word, make_presentation, REFLECTION
-from polyflag.stringc import build_string_group
+from polyflag.stringc import build_string_group, dual
 from polyflag.analysis import (
     AnalysisReport, analyze, flag_count, f_vector, is_flat_km,
     flatness_spectrum, section_flat_pairs, is_flat, is_tight,
@@ -99,6 +99,21 @@ def test_section_flat_pairs_match_section_analysis():
 def test_section_analyzes_as_the_smaller_group():
     assert analyze(coxeter(4, 3, 3).section(0, 2)).to_json() == \
         analyze(coxeter(4, 3)).to_json()
+
+
+def test_dual_of_a_section_needs_no_presentation():
+    section = coxeter(4, 3, 3).section(0, 2)
+    assert analyze(dual(section)).to_json() == \
+        analyze(coxeter(3, 4)).to_json()
+
+
+def test_presentation_covers_a_section():
+    section = coxeter(4, 3, 3).section(0, 2)
+    assert covering_exists(make_presentation(REFLECTION, 3, [4, 3]), section)
+    assert not covering_exists(make_presentation(REFLECTION, 3, [4, 4]),
+                               section)
+    assert not covering_exists(make_presentation(REFLECTION, 4, [4, 3, 3]),
+                               section)
 
 
 def test_lambda_polytopes_non_flat():

@@ -10,7 +10,8 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from polyflag.presentation import (Word, Presentation, make_presentation,
                                    REFLECTION, ROTATION)
 from polyflag.constructions import coxeter, torus_map
-from polyflag.analysis import analyze, f_vector, flatness_spectrum, is_tight
+from polyflag.analysis import (FlagBound, analyze, f_vector, flatness_spectrum,
+                               is_tight)
 from polyflag import chiral
 from polyflag.corpus import load_entry
 from polyflag.permgroup import orbit, word_image
@@ -19,7 +20,7 @@ from polyflag.chiral import (
     RotationGroup, RotationViolation, build_rotation_group, is_chiral,
     enantiomorph, mix_order, mixed_regular_cover_flags,
     rotation_intersection_advisory,
-    ChiralBound, BoundQuery, chiral_lower_bound, weakest_chiral_bound,
+    chiral_lower_bound, weakest_chiral_bound,
     StructureFacts, structure_constraint_audit, rotation_torus_map,
     chiral_report, _mirror_word,
 )
@@ -204,9 +205,12 @@ def _mirror_oracle_groups():
 def test_cover_matches_the_enumerated_enantiomorph():
     # the enantiomorph's group is G under the mirror images; enumerating
     # the mirrored presentation instead must give the same mix
+    # the whole-slice section is the same group with no presentation
     for label, group in _mirror_oracle_groups():
         expected = 2 * mix_order(group, enantiomorph(group))
         assert mixed_regular_cover_flags(group) == expected, label
+        whole = group.section(0, len(group.gens) - 1)
+        assert mixed_regular_cover_flags(whole) == expected, label
 
 
 def _relator_image_chirality(group):
@@ -239,6 +243,11 @@ def test_chiral_report_enumerates_no_second_group(monkeypatch):
     payload = chiral_report(group)
     assert payload["is_chiral"] is True
     assert payload["mixed_cover_flags"] == 200
+
+
+def test_enantiomorph_of_a_section_names_the_missing_presentation():
+    with pytest.raises(ValueError, match="presentation"):
+        enantiomorph(rot338().section(0, 1))
 
 
 def test_enantiomorph_order_change_raises(monkeypatch):
@@ -331,7 +340,7 @@ def test_338_polytope():
     assert not is_tight(group)
     assert mixed_regular_cover_flags(group) == 768
     # the flag count meets the rank-4 regular/regular bound exactly
-    bound = chiral_lower_bound(BoundQuery(4, "regular", "regular"))
+    bound = chiral_lower_bound(4, "regular", "regular")
     assert bound.exact and bound.value == group.flag_count()
 
 
@@ -348,10 +357,11 @@ def test_338_structure_audit_clean():
     group = rot338()
     facts = StructureFacts(
         rank=4,
-        facet=analyze(coxeter(3, 3)),
-        vertex_figure="regular",
+        facet_kind="regular",
+        vf_kind="regular",
         flat_pairs=flatness_spectrum(group),
-        tight=is_tight(group))
+        tight=is_tight(group),
+        facet_flat_pairs=analyze(coxeter(3, 3)).flat_pairs)
     assert structure_constraint_audit(facts) == []
 
 
@@ -372,15 +382,15 @@ def test_338_structure_audit_clean():
     (7, "chiral", "chiral", 55296, False, None),
 ])
 def test_bound_table(rank, fk, vk, value, exact, upper):
-    bound = chiral_lower_bound(BoundQuery(rank, fk, vk))
-    assert bound == ChiralBound(value, exact, upper)
+    bound = chiral_lower_bound(rank, fk, vk)
+    assert bound == FlagBound(value, exact, upper)
 
 
 def test_bound_formulas_high_rank():
     for n in range(8, 17):
-        rr = chiral_lower_bound(BoundQuery(n, "regular", "regular"))
-        cr = chiral_lower_bound(BoundQuery(n, "chiral", "regular"))
-        cc = chiral_lower_bound(BoundQuery(n, "chiral", "chiral"))
+        rr = chiral_lower_bound(n, "regular", "regular")
+        cr = chiral_lower_bound(n, "chiral", "regular")
+        cc = chiral_lower_bound(n, "chiral", "chiral")
         assert rr.value == 16 * n * math.factorial(n) // 3
         assert cr.value == 16 * (n - 1) * math.factorial(n - 1)
         assert cc.value == 48 * (n - 2) * math.factorial(n - 2)
@@ -388,31 +398,28 @@ def test_bound_formulas_high_rank():
 
 
 def test_bound_rank8_values():
-    assert chiral_lower_bound(
-        BoundQuery(8, "regular", "regular")).value == 1720320
-    assert chiral_lower_bound(
-        BoundQuery(8, "chiral", "regular")).value == 564480
-    assert chiral_lower_bound(
-        BoundQuery(8, "chiral", "chiral")).value == 207360
+    assert chiral_lower_bound(8, "regular", "regular").value == 1720320
+    assert chiral_lower_bound(8, "chiral", "regular").value == 564480
+    assert chiral_lower_bound(8, "chiral", "chiral").value == 207360
 
 
 def test_bound_duality_normalization():
     for n in (4, 5, 6, 7, 9):
-        assert (chiral_lower_bound(BoundQuery(n, "regular", "chiral"))
-                == chiral_lower_bound(BoundQuery(n, "chiral", "regular")))
+        assert (chiral_lower_bound(n, "regular", "chiral")
+                == chiral_lower_bound(n, "chiral", "regular"))
 
 
 def test_bound_rejects():
     with pytest.raises(ValueError):
-        chiral_lower_bound(BoundQuery(2, "regular", "regular"))
+        chiral_lower_bound(2, "regular", "regular")
     with pytest.raises(ValueError):
-        chiral_lower_bound(BoundQuery(3, "chiral", "regular"))
+        chiral_lower_bound(3, "chiral", "regular")
     with pytest.raises(ValueError):
-        chiral_lower_bound(BoundQuery(3, "regular", "chiral"))
+        chiral_lower_bound(3, "regular", "chiral")
     with pytest.raises(ValueError):
-        chiral_lower_bound(BoundQuery(3, "chiral", "chiral"))
+        chiral_lower_bound(3, "chiral", "chiral")
     with pytest.raises(ValueError):
-        chiral_lower_bound(BoundQuery(4, "mirrored", "regular"))
+        chiral_lower_bound(4, "mirrored", "regular")
 
 
 def test_weakest_bounds():
@@ -426,14 +433,14 @@ def test_weakest_bounds():
 
 def test_audit_flat_regular_facets():
     flat_facet = analyze(torus_map("44", 2, 0))
-    facts = StructureFacts(rank=4, facet=flat_facet,
-                           vertex_figure="regular",
-                           flat_pairs=(), tight=False)
+    facts = StructureFacts(rank=4, facet_kind="regular",
+                           vf_kind="regular", flat_pairs=(), tight=False,
+                           facet_flat_pairs=flat_facet.flat_pairs)
     assert "flat_regular_facets" in structure_constraint_audit(facts)
     # with a chiral vertex-figure the restriction no longer applies
-    facts = StructureFacts(rank=4, facet=flat_facet,
-                           vertex_figure="chiral",
-                           flat_pairs=(), tight=False)
+    facts = StructureFacts(rank=4, facet_kind="regular",
+                           vf_kind="chiral", flat_pairs=(), tight=False,
+                           facet_flat_pairs=flat_facet.flat_pairs)
     assert "flat_regular_facets" not in structure_constraint_audit(facts)
 
 
@@ -441,47 +448,48 @@ def test_audit_forbidden_facet_flatness():
     # a (1,2)-flat polyhedron cannot be the facet of a chiral 4-polytope
     hoso = analyze(coxeter(2, 2))
     assert (1, 2) in hoso.flat_pairs
-    facts = StructureFacts(rank=4, facet=hoso, vertex_figure=None,
-                           flat_pairs=(), tight=False)
+    facts = StructureFacts(rank=4, facet_kind="regular", vf_kind=None,
+                           flat_pairs=(), tight=False,
+                           facet_flat_pairs=hoso.flat_pairs)
     assert "forbidden_facet_flatness" in structure_constraint_audit(facts)
 
 
 def test_audit_excessive_flatness():
     for pair in ((1, 2), (2, 3)):
-        facts = StructureFacts(rank=5, facet=None, vertex_figure=None,
+        facts = StructureFacts(rank=5, facet_kind=None, vf_kind=None,
                                flat_pairs=(pair,), tight=False)
         assert structure_constraint_audit(facts) == ["excessive_flatness"]
-    facts = StructureFacts(rank=5, facet=None, vertex_figure=None,
+    facts = StructureFacts(rank=5, facet_kind=None, vf_kind=None,
                            flat_pairs=((0, 4),), tight=False)
     assert structure_constraint_audit(facts) == []
 
 
 def test_audit_tightness_restrictions():
-    facts = StructureFacts(rank=6, facet=None, vertex_figure=None,
+    facts = StructureFacts(rank=6, facet_kind=None, vf_kind=None,
                            flat_pairs=(), tight=True)
     assert structure_constraint_audit(facts) == ["tight_high_rank"]
-    facts = StructureFacts(rank=4, facet="regular",
-                           vertex_figure="regular",
+    facts = StructureFacts(rank=4, facet_kind="regular",
+                           vf_kind="regular",
                            flat_pairs=(), tight=True)
     assert structure_constraint_audit(facts) == [
         "tight_rank4_regular_sections"]
     # one chiral section is enough at rank 4
-    facts = StructureFacts(rank=4, facet="chiral",
-                           vertex_figure="regular",
+    facts = StructureFacts(rank=4, facet_kind="chiral",
+                           vf_kind="regular",
                            flat_pairs=(), tight=True)
     assert structure_constraint_audit(facts) == []
     # rank 5 needs chiral facets, vertex-figures AND medial sections
-    facts = StructureFacts(rank=5, facet="chiral", vertex_figure="chiral",
+    facts = StructureFacts(rank=5, facet_kind="chiral", vf_kind="chiral",
                            flat_pairs=(), tight=True,
                            medial_kind="regular")
     assert structure_constraint_audit(facts) == ["tight_rank5_sections"]
-    facts = StructureFacts(rank=5, facet="chiral", vertex_figure="chiral",
+    facts = StructureFacts(rank=5, facet_kind="chiral", vf_kind="chiral",
                            flat_pairs=(), tight=True, medial_kind="chiral")
     assert structure_constraint_audit(facts) == []
 
 
 def test_audit_unknown_sections_skip():
-    facts = StructureFacts(rank=4, facet=None, vertex_figure=None,
+    facts = StructureFacts(rank=4, facet_kind=None, vf_kind=None,
                            flat_pairs=(), tight=True)
     assert structure_constraint_audit(facts) == []
 

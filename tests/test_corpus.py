@@ -14,7 +14,7 @@ from polyflag.stringc import (is_string_c_group,
 from polyflag.analysis import (analyze, section_flat_pairs, min_nonflat_flags,
                                f_vector)
 from polyflag.permgroup import brute_force_closure, intersect_subgroups
-from polyflag.chiral import (is_chiral, mixed_regular_cover_flags, BoundQuery,
+from polyflag.chiral import (is_chiral, mixed_regular_cover_flags,
                              chiral_lower_bound)
 
 NAMES = corpus_names()
@@ -202,6 +202,18 @@ def test_rotation_sidecars(name, built_groups):
     assert mixed_regular_cover_flags(group) == expected["mixed_cover_flags"]
 
 
+@pytest.mark.parametrize("name", ROTATION_NAMES)
+def test_section_kinds_match_the_sidecar(name, built_groups):
+    # facet s_1..s_{n-2} and vertex-figure s_2..s_{n-1}, with no presentation
+    group = built_groups[name]
+    expected = SIDECARS[name]
+    n = group.rank
+    kinds = tuple("chiral" if is_chiral(section) else "regular"
+                  for section in (group.section(0, n - 3),
+                                  group.section(1, n - 2)))
+    assert kinds == (expected["facet_kind"], expected["vf_kind"])
+
+
 @pytest.mark.parametrize(
     "name", [n for n in ROTATION_NAMES if SIDECARS[n]["is_chiral"]])
 def test_chiral_entries_respect_bounds(name, built_groups):
@@ -210,6 +222,6 @@ def test_chiral_entries_respect_bounds(name, built_groups):
     assert group.flag_count() % 4 == 0
     faces = f_vector(group)
     assert (faces[0], faces[-1]) >= (3, 3)
-    bound = chiral_lower_bound(BoundQuery(
-        group.rank, expected["facet_kind"], expected["vf_kind"]))
+    bound = chiral_lower_bound(
+        group.rank, expected["facet_kind"], expected["vf_kind"])
     assert group.flag_count() >= bound.value
