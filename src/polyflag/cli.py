@@ -7,8 +7,10 @@ over the bundled corpus.
 
 Exit codes: 0 clean; 1 for any domain-level failure (intersection
 condition fails, audit violations, certificate mismatch, amalgam
-collapse) or bad arguments; 2 when the coset limit is hit; 3 when the
-input file does not parse.
+collapse) or bad arguments, and 1 with an ``internal error:`` message
+when a result fails one of the library's own runtime proofs; 2 when the
+coset limit is hit or a bare Coxeter symbol's closed-form order is
+infinite or over it; 3 when the input file does not parse.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .presentation import parse_presentation, PresentationError, REFLECTION
-from .coset_enum import CosetLimitExceeded, DEFAULT_MAX_COSETS
+from .coset_enum import CosetLimitExceeded, InternalError, DEFAULT_MAX_COSETS
 from .stringc import (build_string_group, SggiViolation,
                       intersection_condition_exhaustive)
 from .analysis import analyze, min_nonflat_flags, flatness_spectrum, is_tight
@@ -382,6 +384,9 @@ def main(argv=None):
     except (SggiViolation, CertificateMismatch, AmalgamCollapse,
             RotationViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
 

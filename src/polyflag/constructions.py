@@ -82,8 +82,9 @@ def _certify(label, expected, got):
 
 def coxeter(*periods, max_cosets=DEFAULT_MAX_COSETS):
     """The string Coxeter group [p1,...,p_{n-1}].  None means an
-    unconstrained (infinite) period; enumeration then usually exceeds
-    the coset limit."""
+    unconstrained (infinite) period.  An infinite group, or one whose
+    closed-form order is over ``max_cosets``, is refused at once with
+    CoxeterLimitExceeded, before anything is enumerated."""
     for p in periods:
         if p is not None and p < 2:
             raise ValueError(f"periods must be >= 2, got {p}")

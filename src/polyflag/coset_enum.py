@@ -13,6 +13,14 @@ every relator scanned and filled, so each of its relator traces closes, and
 deductions and coincidences only add entries or pass to a quotient, so a
 closed trace stays closed: scanning those cosets would change nothing.
 
+For the same reason lookahead marks the relator traces it finds closed
+above the pointer: ``closed[k][c]`` is 1 once relator k's trace from coset
+c was seen complete and back at c, or was completed by a deduction, and a
+later lookahead skips marked pairs.  The marks are one bytearray per
+relator, made by the first lookahead, extended to new cosets by each later
+one, and renumbered with the cosets when the table is compacted.  The
+scan loop does not read them.
+
 The working table is column-major: ``cols[x][c]`` is the image of coset c
 under column x (generator g forward is 2g, inverse 2g+1).  Each relator is
 bound to the tuple of the columns its letters read, and of their mirrors,
@@ -58,6 +66,13 @@ class CosetLimitExceeded(Exception):
             f" (high water {high_water} live cosets)")
         self.max_cosets = max_cosets
         self.high_water = high_water
+
+
+class InternalError(AssertionError):
+    """A result failed a runtime proof the library runs on itself.
+
+    Seeing one means a bug in polyflag, not bad input.
+    """
 
 
 class _LimitHit(Exception):
@@ -111,6 +126,7 @@ class _Enumerator:
         self.parent = [0]
         self.live = 1
         self.high_water = 1
+        self.closed = None  # lookahead's closed-trace marks, one per relator
         # The column lists live as long as the run (compaction rewrites
         # them in place), so these bindings never go stale.
         self.bound = [self._columns(rel) for rel in relators]
@@ -218,15 +234,24 @@ class _Enumerator:
     def lookahead(self, start):
         """Scan every live coset from ``start`` on against every relator,
         defining nothing: a complete trace that does not close is a
-        coincidence, and a trace missing one entry is a deduction."""
+        coincidence, and a trace missing one entry is a deduction.
+        Relator traces already marked closed are skipped."""
         parent = self.parent
         coincide = self.coincide
-        bound = [(len(word) - 1, tuple(enumerate(fwd)), fwd, back)
-                 for word, fwd, back in self.bound]
-        for c in range(start, len(parent)):
+        n = len(parent)
+        if self.closed is None:
+            self.closed = [bytearray(n) for _ in self.bound]
+        else:
+            for marks in self.closed:
+                marks.extend(bytes(n - len(marks)))
+        bound = [(len(word) - 1, tuple(enumerate(fwd)), fwd, back, marks)
+                 for (word, fwd, back), marks in zip(self.bound, self.closed)]
+        for c in range(start, n):
             if parent[c] != c:
                 continue
-            for last, steps, fwd, back in bound:
+            for last, steps, fwd, back, marks in bound:
+                if marks[c]:
+                    continue
                 f = c
                 for i, col in steps:
                     t = col[f]
@@ -234,7 +259,9 @@ class _Enumerator:
                         break
                     f = t
                 else:
-                    if f != c:
+                    if f == c:
+                        marks[c] = 1
+                    else:
                         coincide(f, c)
                         if parent[c] != c:
                             break
@@ -255,6 +282,7 @@ class _Enumerator:
                 if j == i:
                     fwd[i][f] = b
                     back[i][b] = f
+                    marks[c] = 1
 
     def compact(self, pointer):
         """Drop dead cosets, renumbering live ones in order.
@@ -276,6 +304,10 @@ class _Enumerator:
         # in place, one column at a time, so only one new column is held
         for col in self.cols:
             col[:] = [mapping[col[c]] for c in live]
+        if self.closed is not None:
+            for marks in self.closed:
+                marks.extend(bytes(len(parent) - len(marks)))
+                marks[:] = bytes(map(marks.__getitem__, live))
         self.parent = list(range(len(live)))
         return bisect_left(live, pointer)
 
@@ -393,7 +425,7 @@ def _check_table(table, relators, subgroup_cols):
     """Prove the table before it is handed out; raises on any fault."""
     fault = _table_fault(table, relators, subgroup_cols)
     if fault is not None:
-        raise AssertionError(fault)
+        raise InternalError(fault)
 
 
 def group_order(pres, max_cosets=DEFAULT_MAX_COSETS):

@@ -14,6 +14,7 @@ kept freely reduced.
 from __future__ import annotations
 
 import re
+from math import factorial
 from dataclasses import dataclass
 from collections import Counter
 
@@ -137,6 +138,47 @@ def coxeter_relators(rank, schlafli):
         for j in range(i + 2, rank):
             rels.append((Word.gen(i) * Word.gen(j)) ** 2)
     return rels
+
+
+def _piece_order(piece):
+    """Order of the irreducible string Coxeter group on one piece of a
+    symbol with no entry 2, or None if it is infinite."""
+    m = len(piece) + 1  # mirrors
+    if None in piece:
+        return None
+    if m == 1:
+        return 2
+    if m == 2:  # I2(p)
+        return 2 * piece[0]
+    if all(p == 3 for p in piece):  # A_m
+        return factorial(m + 1)
+    if all(p == 3 for p in piece[1:-1]) and {piece[0], piece[-1]} == {3, 4}:
+        return 2 ** m * factorial(m)  # B_m
+    # F4, H3 and H4
+    return {(3, 4, 3): 1152, (5, 3): 120, (3, 5): 120,
+            (5, 3, 3): 14400, (3, 3, 5): 14400}.get(tuple(piece))
+
+
+def coxeter_order(schlafli):
+    """Order of the string Coxeter group [p1,...,p_{n-1}], or None if it
+    is infinite (None entries are unbounded periods).
+
+    An entry 2 makes the mirrors on either side commute, so the group is
+    the direct product of the pieces between them; a piece is finite
+    exactly when it is A_m, B_m, F4, H3, H4 or a dihedral I2(p).
+    """
+    order = 1
+    piece = []
+    for p in (*schlafli, 2):  # the final 2 closes the last piece
+        if p != 2:
+            piece.append(p)
+            continue
+        factor = _piece_order(piece)
+        if factor is None:
+            return None
+        order *= factor
+        piece = []
+    return order
 
 
 def rotation_relators(rank, schlafli):

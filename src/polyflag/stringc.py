@@ -18,14 +18,35 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .presentation import Word, REFLECTION
+from .presentation import Word, REFLECTION, coxeter_order, coxeter_relators
 from .coset_enum import (enumerate_cosets, coset_action, relators_close,
+                         CosetLimitExceeded, InternalError,
                          DEFAULT_MAX_COSETS)
 from .permgroup import orbit, word_image
 
 
 class SggiViolation(Exception):
     """The presented group is not a string group on involutions."""
+
+
+class CoxeterLimitExceeded(CosetLimitExceeded):
+    """A bare string Coxeter group refused before enumeration: its order
+    in closed form (``order``, None if infinite) is over the coset limit,
+    so enumeration could only end at the limit.  Nothing was enumerated,
+    so ``high_water`` is 0.
+    """
+
+    def __init__(self, schlafli, order, max_cosets):
+        symbol = "[" + ",".join("inf" if p is None else str(p)
+                                for p in schlafli) + "]"
+        size = "is infinite" if order is None else f"has order {order}"
+        Exception.__init__(
+            self, f"string Coxeter group {symbol} {size},"
+                  f" over the coset limit {max_cosets}")
+        self.max_cosets = max_cosets
+        self.high_water = 0
+        self.schlafli = schlafli
+        self.order = order
 
 
 @dataclass(frozen=True)
@@ -124,11 +145,20 @@ def build_string_group(pres, max_cosets=DEFAULT_MAX_COSETS):
 
     Raises SggiViolation naming the first failed condition: a generator
     collapsing or losing its involution, or a distant pair failing to
-    commute.
+    commute.  A bare Coxeter presentation (the declared symbol's relators
+    and nothing else) whose closed-form order is infinite or over
+    ``max_cosets`` raises CoxeterLimitExceeded at once: enumerating it
+    could only end at the limit.
     """
     if pres.kind != REFLECTION:
         raise ValueError("string groups are built from reflection "
                          "presentations")
+    sym = pres.declared_schlafli
+    if sym is not None:
+        order = coxeter_order(sym)
+        if ((order is None or order > max_cosets)
+                and pres.relators == tuple(coxeter_relators(pres.rank, sym))):
+            raise CoxeterLimitExceeded(sym, order, max_cosets)
     table = enumerate_cosets(pres, (), max_cosets)
     gens = coset_action(table)
     n = pres.num_generators
@@ -168,7 +198,7 @@ def dual(group):
     table = replace(group.table,
                     action=tuple(row[::-1] for row in group.table.action))
     if not relators_close(new_pres, table):
-        raise AssertionError("dual table does not satisfy the dual relators")
+        raise InternalError("dual table does not satisfy the dual relators")
     return type(group)(new_pres, table, gens, group.max_cosets)
 
 
@@ -214,7 +244,7 @@ def is_string_c_group(group):
         return CGroupVerdict(True)
     witness = _witness_scan(group)
     if witness is None:  # a window said no but no small witness: impossible
-        raise AssertionError("inconsistent intersection verdicts")
+        raise InternalError("inconsistent intersection verdicts")
     return CGroupVerdict(False, witness)
 
 

@@ -1,10 +1,11 @@
 """Exit codes and output shapes of the command-line front end."""
 
 import json
+import time
 
 import pytest
 
-from polyflag import cli
+from polyflag import cli, coset_enum
 from polyflag.cli import main, build_parser, ENV_MAX_COSETS
 from polyflag.corpus import entry_text
 
@@ -95,6 +96,47 @@ def test_analyze_coset_limit_env(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "analyze", corpus_file(tmp_path, "cube-5"))
     assert code == 2
     assert "enumeration limit" in err
+
+
+def coxeter_file(tmp_path, *periods):
+    path = tmp_path / "coxeter.txt"
+    path.write_text(f"rank {len(periods) + 1}\nkind reflection\n"
+                    f"schlafli {' '.join(map(str, periods))}\n")
+    return str(path)
+
+
+def test_analyze_infinite_coxeter_fails_fast(tmp_path, capsys):
+    # at the default cap, enumerating [4,3,4] takes about 30 s
+    path = coxeter_file(tmp_path, 4, 3, 4)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "analyze", path)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err.startswith("enumeration limit: string Coxeter group [4,3,4]"
+                          " is infinite")
+
+
+def test_analyze_coxeter_over_cap_names_its_order(tmp_path, capsys):
+    path = coxeter_file(tmp_path, 3, 3, 5)
+    code, _, err = run(capsys, "--max-cosets", "1000", "analyze", path)
+    assert code == 2
+    assert "has order 14400" in err and "limit 1000" in err
+
+
+def test_construct_infinite_coxeter_exits_2(capsys):
+    code, _, err = run(capsys, "construct", "coxeter", "4", "4")
+    assert code == 2
+    assert "[4,4] is infinite" in err
+
+
+def test_internal_error_exits_1_without_traceback(tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.setattr(coset_enum, "_table_fault",
+                        lambda *args: "forced fault")
+    code, out, err = run(capsys, "analyze", corpus_file(tmp_path, "cube-4"))
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: forced fault\n"
 
 
 def test_env_coset_cap_read_on_every_call(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polyflag.corpus import load_entry
@@ -13,7 +14,8 @@ from polyflag.presentation import (Word, make_presentation,
                                    parse_presentation, REFLECTION)
 from polyflag.coset_enum import (
     CosetLimitExceeded, enumerate_cosets, group_order, coset_action,
-    relators_close, word_to_columns, _check_table, _Enumerator,
+    InternalError, relators_close, word_to_columns, _check_table,
+    _Enumerator,
 )
 
 PERFBENCH_INPUTS = (Path(__file__).resolve().parent.parent / "perfbench"
@@ -225,6 +227,80 @@ def test_lookahead_from_scan_pointer_is_exact(monkeypatch):
         assert 0 < limits < len(presentations)
 
 
+def open_marked_traces(enum):
+    """Live cosets whose relator trace lookahead marked closed, but which
+    no longer trace back to themselves; and how many marks were checked.
+
+    Each column gets a trailing undefined entry, so an undefined step
+    (index -1) stays undefined."""
+    cols = [np.append(np.array(col), -1) for col in enum.cols]
+    n = len(enum.parent)
+    live = np.array(enum.parent) == np.arange(n)
+    open_pairs, checked = [], 0
+    for k, ((word, _, _), marks) in enumerate(zip(enum.bound, enum.closed)):
+        start = np.flatnonzero(np.frombuffer(marks, dtype=np.uint8)[:n]
+                               & live)
+        c = start
+        for x in word:
+            c = cols[x][c]
+        open_pairs.extend((k, int(d)) for d in start[c != start])
+        checked += start.size
+    return open_pairs, checked
+
+
+def marks_checked_against_cleared(monkeypatch, presentations, caps):
+    """Outcomes with every lookahead's marks checked closed, which must
+    equal the outcomes with the marks cleared before every lookahead;
+    returns the number of lookaheads and of marks checked."""
+    lookahead = _Enumerator.lookahead
+    seen = {"lookaheads": 0, "marks": 0}
+
+    def checked(self, start):
+        lookahead(self, start)
+        open_pairs, marks = open_marked_traces(self)
+        assert open_pairs == []
+        seen["lookaheads"] += 1
+        seen["marks"] += marks
+
+    def unmarked(self, start):
+        self.closed = None
+        lookahead(self, start)
+
+    monkeypatch.setattr(_Enumerator, "lookahead", checked)
+    marked = [outcomes(presentations, cap) for cap in caps]
+    monkeypatch.setattr(_Enumerator, "lookahead", unmarked)
+    assert marked == [outcomes(presentations, cap) for cap in caps]
+    return seen
+
+
+def test_lookahead_closed_trace_marks_are_exact(monkeypatch):
+    # A marked (relator, coset) pair stays closed while the coset lives,
+    # so skipping it changes nothing: lookahead with the marks cleared
+    # before every call must give the same tables and limit outcomes.
+    seen = marks_checked_against_cleared(
+        monkeypatch, sweep_presentations(), (300, 2000))
+    assert seen["lookaheads"] > 200 and seen["marks"] > 1_000_000
+
+
+def test_closed_trace_marks_follow_compaction(monkeypatch):
+    # these collapse far enough at the cap to compact the table between
+    # lookaheads, so the marks are renumbered with the cosets
+    presentations = [parse_presentation(coxeter_text(sym, "(r0 r1 r2)^3"))
+                     for sym in ((4, 3, 6), (3, 8, 5), (8, 3, 8))]
+    compact = _Enumerator.compact
+    compactions = []
+
+    def counted(self, pointer):
+        if self.closed is not None and pointer > 0:
+            compactions.append(pointer)
+        return compact(self, pointer)
+
+    monkeypatch.setattr(_Enumerator, "compact", counted)
+    marks_checked_against_cleared(monkeypatch, presentations, (2000,))
+    # one compaction each, at the same pointer with marks and without
+    assert compactions == [4449, 2968, 2760] * 2
+
+
 def corrupt(table, coset, column, value):
     action = [list(row) for row in table.action]
     action[coset][column] = value
@@ -254,6 +330,9 @@ def test_check_table_faults():
     # a mirror-consistent table of [3,3] does not satisfy (r0 r1)^4
     small = enumerate_cosets(cox(3, 3), ())
     with pytest.raises(AssertionError, match="does not close"):
+        _check_table(small, relator_columns(cox(4, 3)), [])
+    # a fault is an internal error, and still an AssertionError
+    with pytest.raises(InternalError, match="does not close"):
         _check_table(small, relator_columns(cox(4, 3)), [])
 
 

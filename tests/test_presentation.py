@@ -1,14 +1,24 @@
 """Words, relator families, and the presentation file format."""
 
+import json
+from itertools import product
+from math import cos, pi
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from polyflag.coset_enum import group_order
 from polyflag.presentation import (
     Word, EMPTY, commutator, Presentation, PresentationError,
-    REFLECTION, ROTATION, coxeter_relators, rotation_relators,
+    REFLECTION, ROTATION, coxeter_relators, coxeter_order, rotation_relators,
     make_presentation, parse_word, parse_presentation,
     serialize_presentation,
 )
+
+SWEEP_EXPECTED = (Path(__file__).resolve().parent.parent / "perfbench"
+                  / "sweep_expected.json")
 
 letters = st.lists(
     st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=14)
@@ -87,6 +97,55 @@ def test_coxeter_relator_count():
     assert len(rels) == 4 + 3 + 3
     rels = coxeter_relators(4, (4, None, 5))
     assert len(rels) == 4 + 2 + 3
+
+
+# every string symbol with entries 2..6 or inf, up to rank 5
+SYMBOLS = [sym for k in range(5)
+           for sym in product((2, 3, 4, 5, 6, None), repeat=k)]
+
+
+def gram_positive_definite(sym):
+    """The Coxeter group is finite iff its Gram matrix is positive
+    definite; an unbounded period contributes -1."""
+    n = len(sym) + 1
+    gram = np.eye(n)
+    for i, p in enumerate(sym):
+        gram[i, i + 1] = gram[i + 1, i] = -1 if p is None else -cos(pi / p)
+    return np.linalg.eigvalsh(gram).min() > 1e-9
+
+
+def test_coxeter_order_finiteness_matches_gram_criterion():
+    assert len(SYMBOLS) == 1555
+    finite = [sym for sym in SYMBOLS if coxeter_order(sym) is not None]
+    assert finite == [sym for sym in SYMBOLS if gram_positive_definite(sym)]
+    # the criterion is not vacuous on either side
+    assert 0 < len(finite) < len(SYMBOLS) - len(finite)
+
+
+def test_coxeter_order_matches_enumeration():
+    small = [sym for sym in SYMBOLS
+             if (coxeter_order(sym) or 2001) <= 2000]
+    assert len(small) == 190
+    for sym in small:
+        pres = make_presentation(REFLECTION, len(sym) + 1, list(sym))
+        assert group_order(pres, max_cosets=2000) == coxeter_order(sym), sym
+
+
+def test_coxeter_order_matches_sweep_expected():
+    recorded = json.loads(SWEEP_EXPECTED.read_text())
+    bare = {key: entry for key, entry in recorded.items() if "|" not in key}
+    infinite = over_cap = 0
+    for key, entry in bare.items():
+        sym = tuple(int(p) for p in key.split())
+        order = coxeter_order(sym)
+        assert (order is None) == entry["infinite"], key
+        if order is None:
+            infinite += 1
+        else:
+            assert order == entry["order"], key
+            over_cap += entry["exit"] == 2
+    assert (infinite, over_cap) == (241, 2)
+    assert bare["3 3 5"]["order"] == bare["5 3 3"]["order"] == 14400
 
 
 def test_rotation_relator_count():

@@ -2,11 +2,13 @@
 
 import pytest
 
+from polyflag.corpus import load_entry
+from polyflag.coset_enum import CosetLimitExceeded, enumerate_cosets
 from polyflag.presentation import (Word, Presentation, make_presentation,
                                    REFLECTION, ROTATION)
 from polyflag.stringc import (
-    SggiViolation, build_string_group, is_string_c_group,
-    intersection_condition_exhaustive, dual,
+    SggiViolation, CoxeterLimitExceeded, build_string_group,
+    is_string_c_group, intersection_condition_exhaustive, dual,
 )
 from polyflag.chiral import build_rotation_group
 
@@ -20,6 +22,42 @@ def test_rejects_rotation_kind():
     pres = make_presentation(ROTATION, 3, [4, 4])
     with pytest.raises(ValueError):
         build_string_group(pres)
+
+
+def test_infinite_bare_coxeter_refused_before_enumeration(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated a refused presentation")
+
+    monkeypatch.setattr("polyflag.stringc.enumerate_cosets",
+                        enumerate_nothing)
+    for periods in ([4, 3, 4], [3, 6], [None, 3]):
+        pres = make_presentation(REFLECTION, len(periods) + 1, periods)
+        with pytest.raises(CoxeterLimitExceeded, match="is infinite") as exc:
+            build_string_group(pres)
+        assert isinstance(exc.value, CosetLimitExceeded)
+        assert exc.value.high_water == 0 and exc.value.order is None
+
+
+def test_bare_coxeter_refused_exactly_when_order_exceeds_cap():
+    # [3,3] has order 24: a cap of 24 fits it, 23 cannot
+    pres = make_presentation(REFLECTION, 3, [3, 3])
+    assert build_string_group(pres, max_cosets=24).order == 24
+    with pytest.raises(CosetLimitExceeded):
+        enumerate_cosets(pres, (), max_cosets=23)
+    with pytest.raises(CoxeterLimitExceeded, match=r"\[3,3\] has order 24"):
+        build_string_group(pres, max_cosets=23)
+
+
+def test_finite_bare_coxeter_under_default_cap_still_builds():
+    group = build_string_group(make_presentation(REFLECTION, 4, [3, 3, 5]))
+    assert group.order == 14400
+
+
+def test_coxeter_with_extra_relators_still_enumerates():
+    # torus-44-2-0 is the infinite [4,4] plus one relator: no precheck
+    pres, expected = load_entry("torus-44-2-0")
+    assert pres.declared_schlafli == (4, 4)
+    assert build_string_group(pres).order == expected["order"] == 32
 
 
 def test_generator_collapse_detected():
