@@ -26,7 +26,8 @@ s_1 = (s_1^{-1})^{-1} and s_2 = s_1^{-2} (s_1^2 s_2).
 
 Subgroup orders here ride on the regular representation the same way the
 reflection side does: the orbit of the trivial coset under any set of
-element images is the element set of the subgroup they generate.
+element images is the element set of the subgroup they generate.  The
+subgroup of a rank set I is Gamma_I (RotationGroup.parabolic_orbit).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 from .presentation import Word, Presentation, ROTATION, make_presentation
 from .coset_enum import enumerate_cosets, coset_action, DEFAULT_MAX_COSETS
-from .stringc import RegularGroup, dual
+from .stringc import RegularGroup, dual, window_holds
 from .analysis import FlagBound, f_vector, flatness_spectrum, is_tight
 from .constructions import torus_kind, check_torus_params, torus_order
 from .permgroup import word_image
@@ -61,9 +62,13 @@ class RotationGroup(RegularGroup):
     def flag_count(self):
         return 2 * self.order
 
-    def face_stabilizer(self, i):
-        """Rotation stabilizer of the base i-face."""
-        return self.word_orbit(_stabilizer_words(self, i))
+    def parabolic_orbit(self, subset):
+        """Gamma_I: the element set generated by tau_{a,b} = s_{a+1}...s_b
+        = r_a r_b for each pair a < b of consecutive ranks in I, since
+        tau_{a,c} = tau_{a,b} tau_{b,c}.  Generator j is s_{j+1}."""
+        ranks = sorted(subset)
+        return self.word_orbit(Word(tuple((j, 1) for j in range(a, b)))
+                               for a, b in zip(ranks, ranks[1:]))
 
 
 def build_rotation_group(pres, max_cosets=DEFAULT_MAX_COSETS):
@@ -210,35 +215,13 @@ def mixed_regular_cover_flags(group):
     return 2 * mix_order(group, mirror)
 
 
-def _stabilizer_words(group, i):
-    """Generating words of the rotation stabilizer of the base i-face.
-
-    Vertices keep s_2..s_{n-1}, facets keep s_1..s_{n-2}; a middle face
-    keeps both flanks plus the bridging product s_i s_{i+1}.  Generator
-    index j stands for s_{j+1}.
-    """
-    n = group.rank
-    if i == 0:
-        return tuple(Word.gen(j) for j in range(1, n - 1))
-    if i == n - 1:
-        return tuple(Word.gen(j) for j in range(n - 2))
-    words = [Word.gen(j) for j in range(i - 1)]
-    words.append(Word.gen(i - 1) * Word.gen(i))
-    words.extend(Word.gen(j) for j in range(i + 1, n - 1))
-    return tuple(words)
-
-
 def rotation_intersection_advisory(group):
-    """Sanity check on polytopality of the rotation group: the facet and
-    vertex-figure rotation subgroups should meet exactly in the medial
-    one.  Advisory only; passing it is necessary but not known to be
-    sufficient in high rank.
+    """Sanity check on polytopality of the rotation group: on the whole
+    window 0..n-1 the facet and vertex-figure subgroups meet exactly in
+    the medial one.  Necessary, but not known to be sufficient in high
+    rank.
     """
-    n = group.rank
-    facet = group.word_orbit(tuple(Word.gen(j) for j in range(n - 2)))
-    vf = group.word_orbit(tuple(Word.gen(j) for j in range(1, n - 1)))
-    mid = group.word_orbit(tuple(Word.gen(j) for j in range(1, n - 2)))
-    return len(facet & vf) == len(mid)
+    return window_holds(group, 0, group.rank - 1)
 
 
 def chiral_lower_bound(rank, facet_kind, vf_kind):

@@ -102,9 +102,12 @@ def _report(group):
 
 
 def _clean(payload):
-    """No audit violation; the C-group condition or flag bound holds."""
+    """No audit violation; the C-group condition, or for rotation input
+    the intersection advisory, and the flag bound hold."""
     bound = payload.get("bound_check")
-    return (payload.get("c_group", True) and not payload["audit_violations"]
+    return (payload.get("c_group", True)
+            and payload.get("rotation_intersection_advisory", True)
+            and not payload["audit_violations"]
             and (bound is None or bound["ok"]))
 
 
@@ -170,11 +173,13 @@ def _parse_rank_range(text, default):
         return default
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            return int(lo), int(hi)
-        return int(lo), int(lo)
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise ValueError(f"bad rank range {text!r}; use N or A..B") from None
+    if lo > hi:
+        raise ValueError(f"reversed rank range {text!r}; use A..B with"
+                         " A <= B")
+    return lo, hi
 
 
 def _verify_table2(args, results):
@@ -311,6 +316,10 @@ def cmd_verify(args):
     if args.json:
         print(json.dumps({"suite": args.suite, "results": results,
                           "failures": failures}, indent=2))
+    if not results:
+        print(f"error: {args.suite} --rank {args.rank} selects no checks",
+              file=sys.stderr)
+        return 1
     return 1 if failures else 0
 
 

@@ -9,7 +9,8 @@ tests of the engine.
 
 Families:
 
-  coxeter           string Coxeter group [p1,...,p_{n-1}]
+  coxeter           string Coxeter group [p1,...,p_{n-1}], of order
+                    coxeter_order
   simplex_extension quotient of [p1,...,p_{n-1}], all pi in {3,6}, by
                     relations making each (r_{i-1} r_i)^3 central; order
                     (p1...p_{n-1}/3^{n-1})(n+1)!
@@ -25,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .presentation import Word, Presentation, REFLECTION, make_presentation
+from .presentation import (Word, Presentation, REFLECTION, make_presentation,
+                           coxeter_order)
 from .coset_enum import DEFAULT_MAX_COSETS
 from .stringc import build_string_group, dual, is_string_c_group
 
@@ -84,12 +86,15 @@ def coxeter(*periods, max_cosets=DEFAULT_MAX_COSETS):
     """The string Coxeter group [p1,...,p_{n-1}].  None means an
     unconstrained (infinite) period.  An infinite group, or one whose
     closed-form order is over ``max_cosets``, is refused at once with
-    CoxeterLimitExceeded, before anything is enumerated."""
+    CoxeterLimitExceeded, before anything is enumerated; a finite one
+    certifies coxeter_order."""
     for p in periods:
         if p is not None and p < 2:
             raise ValueError(f"periods must be >= 2, got {p}")
     pres = make_presentation(REFLECTION, len(periods) + 1, list(periods))
-    return build_string_group(pres, max_cosets)
+    group = build_string_group(pres, max_cosets)
+    _certify("order", coxeter_order(periods), group.order)
+    return group
 
 
 def simplex_extension(*periods, max_cosets=DEFAULT_MAX_COSETS):
@@ -323,8 +328,11 @@ class FamilySpec:
 
 def expected_order(spec):
     """The closed-form order of a FamilySpec's reflection group, or None
-    for the families without one (coxeter, amalgam, unknown names)."""
+    for the families without one (amalgam, unknown names) and for an
+    infinite Coxeter group."""
     fam, params = spec.family, spec.params
+    if fam == "coxeter":
+        return coxeter_order(params)
     if fam == "lambda":
         return simplex_extension_order(params)
     if fam in TORUS_FAMILIES:

@@ -74,9 +74,12 @@ class RegularGroup:
 
     The regular action is free, so the orbit of the trivial coset under
     any set of elements is the subgroup they generate; each such element
-    set is computed once and cached.  Subclasses say which elements the
-    rotations are, how many flags there are, which subgroup fixes the
-    base i-face and what the rank is.
+    set is computed once and cached.  Subclasses say what the rank is,
+    which elements the rotations are, how many flags there are and which
+    words generate the subgroup of a set I of ranks (``parabolic_orbit``:
+    the reflections r_i, or the rotations r_a r_b, for i, a, b in I).
+    The stabilizer of the base i-face is the subgroup of every rank
+    but i, for both classes.
     """
 
     def __init__(self, pres, table, gens, max_cosets=DEFAULT_MAX_COSETS):
@@ -113,6 +116,14 @@ class RegularGroup:
             self._schlafli = tuple(g.order() for g in self.rotations())
         return self._schlafli
 
+    def parabolic_order(self, subset):
+        return len(self.parabolic_orbit(subset))
+
+    def face_stabilizer(self, i):
+        """The subgroup of every rank but i: the stabilizer of the base
+        i-face."""
+        return self.parabolic_orbit(j for j in range(self.rank) if j != i)
+
 
 class StringGroup(RegularGroup):
     """A finite string group; its elements are the flags."""
@@ -131,13 +142,6 @@ class StringGroup(RegularGroup):
     def parabolic_orbit(self, subset):
         """Element set of the subgroup those generators produce."""
         return self.word_orbit(Word.gen(i) for i in subset)
-
-    def parabolic_order(self, subset):
-        return len(self.parabolic_orbit(subset))
-
-    def face_stabilizer(self, i):
-        """The parabolic omitting r_i: the stabilizer of the base i-face."""
-        return self.parabolic_orbit(j for j in range(self.rank) if j != i)
 
 
 def build_string_group(pres, max_cosets=DEFAULT_MAX_COSETS):
@@ -203,7 +207,9 @@ def dual(group):
 
 
 def _witness_scan(group):
-    """Smallest subset pair violating the intersection condition."""
+    """Smallest pair of rank sets I, J whose subgroups meet in more than
+    the subgroup of I & J: parabolics of a string group, or the Gamma_I
+    of a rotation group."""
     indices = range(group.rank)
     subsets = []
     for size in range(1, group.rank + 1):
@@ -220,26 +226,28 @@ def _witness_scan(group):
     return None
 
 
+def window_holds(group, lo, hi):
+    """On the ranks lo..hi, the facet and vertex-figure subgroups meet in
+    the medial one: Gamma_{lo..hi-1} & Gamma_{lo+1..hi} =
+    Gamma_{lo+1..hi-1}, for a string or a rotation group."""
+    facet = group.parabolic_orbit(range(lo, hi))
+    vfig = group.parabolic_orbit(range(lo + 1, hi + 1))
+    return len(facet & vfig) == group.parabolic_order(range(lo + 1, hi))
+
+
 def is_string_c_group(group):
     """Intersection-condition verdict, window by window.
 
-    Neighbouring generators must be distinct; on every window lo..hi of
-    three or more generators, narrowest first, the facet and
-    vertex-figure parabolics must meet in the medial one.  Together these
-    are the recursive condition on the whole string.  On failure the
-    verdict carries the smallest offending subset pair.
+    Neighbouring generators must be distinct, and window_holds on every
+    window lo..hi of three or more generators, narrowest first.
+    Together these are the recursive condition on the whole string.  On
+    failure the verdict carries the smallest offending subset pair.
     """
     n, gens = group.rank, group.gens
-    ok = all(gens[i] != gens[i + 1] for i in range(n - 1))
-    windows = ((lo, lo + width - 1) for width in range(3, n + 1)
-               for lo in range(n - width + 1))
-    for lo, hi in windows:
-        if not ok:
-            break
-        facet = group.parabolic_orbit(range(lo, hi))
-        vfig = group.parabolic_orbit(range(lo + 1, hi + 1))
-        middle = group.parabolic_orbit(range(lo + 1, hi))
-        ok = len(facet & vfig) == len(middle)
+    ok = (all(gens[i] != gens[i + 1] for i in range(n - 1))
+          and all(window_holds(group, lo, lo + width - 1)
+                  for width in range(3, n + 1)
+                  for lo in range(n - width + 1)))
     if ok:
         return CGroupVerdict(True)
     witness = _witness_scan(group)
@@ -249,7 +257,8 @@ def is_string_c_group(group):
 
 
 def intersection_condition_exhaustive(group):
-    """Literal check of every subset pair; the test oracle.
+    """Literal check of every pair of rank sets, on a string or a
+    rotation group; the test oracle.
 
     Quadratic in the number of subsets, usable for small groups only.
     """

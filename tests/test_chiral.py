@@ -15,7 +15,7 @@ from polyflag.analysis import (FlagBound, analyze, f_vector, flatness_spectrum,
 from polyflag import chiral
 from polyflag.corpus import load_entry
 from polyflag.permgroup import orbit, word_image
-from polyflag.stringc import dual
+from polyflag.stringc import dual, intersection_condition_exhaustive
 from polyflag.chiral import (
     RotationGroup, RotationViolation, build_rotation_group, is_chiral,
     enantiomorph, mix_order, mixed_regular_cover_flags,
@@ -79,6 +79,17 @@ def test_torus_rotation_orders_and_chirality_classification(kind, factor):
             polytopal = norm > (2 if kind == "44" else 1)
             assert rotation_intersection_advisory(group) == polytopal
             assert group.flag_count() % 4 == 0
+
+
+@pytest.mark.parametrize("kind", ["44", "36"])
+def test_torus_rotation_oracle_is_the_polytopality_rule(kind):
+    for b in range(1, 5):
+        for c in range(0, b + 1):
+            group = rotation_torus_map(kind, b, c)
+            norm = (b * b + c * c if kind == "44"
+                    else b * b + b * c + c * c)
+            polytopal = norm > (2 if kind == "44" else 1)
+            assert intersection_condition_exhaustive(group).ok == polytopal
 
 
 def test_torus_63_duality():

@@ -48,6 +48,27 @@ def test_analyze_rotation(tmp_path, capsys):
     assert "smallest regular cover: 200 flags" in out
 
 
+def test_analyze_rotation_failing_intersection_exits_1(tmp_path, capsys):
+    # {4,4}_(1,1) as a rotation group: too small to be polytopal
+    path = tmp_path / "torus-44-1-1.txt"
+    path.write_text("rank 3\nkind rotation\nschlafli 4 4\n"
+                    "rel s1 s2- s2- s1\n")
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert "rotation group, order 8  flags 16" in out
+    assert ("advisory: rotation subgroups fail the intersection sanity"
+            " check") in out
+
+
+@pytest.mark.parametrize(
+    "name", ["rotation-338", "rotation-44-1-2", "rotation-44-2-0"])
+def test_analyze_rotation_corpus_exits_0(tmp_path, capsys, name):
+    code, out, _ = run(capsys, "--json", "analyze",
+                       corpus_file(tmp_path, name))
+    assert code == 0
+    assert json.loads(out)["rotation_intersection_advisory"] is True
+
+
 def test_analyze_json_schema(tmp_path, capsys):
     code, out, _ = run(capsys, "--json", "analyze",
                        corpus_file(tmp_path, "coxeter-3-4"))
@@ -187,14 +208,14 @@ def test_help_exits_0(capsys):
 def test_construct_coxeter(capsys):
     code, out, _ = run(capsys, "construct", "coxeter", "3", "3")
     assert code == 0
-    assert "order 24 (no closed form)" in out
+    assert "order certificate: expected 24, computed 24, ok" in out
 
 
 def test_construct_coxeter_rank_one(capsys):
     # no periods: a single mirror, whose only relator is r0^2
     code, out, _ = run(capsys, "--max-cosets", "2000", "construct", "coxeter")
     assert code == 0
-    assert "order 2 (no closed form)" in out
+    assert "order certificate: expected 2, computed 2, ok" in out
 
 
 def test_construct_simplex_extension_certificate(capsys):
@@ -322,3 +343,18 @@ def test_verify_bad_rank_range(capsys):
     code, _, err = run(capsys, "verify", "table2", "--rank", "x..y")
     assert code == 1
     assert "bad rank range" in err
+
+
+@pytest.mark.parametrize("suite", ["table2", "table3"])
+def test_verify_reversed_rank_range_fails(capsys, suite):
+    code, out, err = run(capsys, "verify", suite, "--rank", "5..3")
+    assert code == 1
+    assert "reversed rank range '5..3'" in err
+    assert "checks" not in out
+
+
+def test_verify_selecting_nothing_fails(capsys):
+    code, out, err = run(capsys, "verify", "table3", "--rank", "2")
+    assert code == 1
+    assert "table3: 0 checks, 0 failures" in out
+    assert "error: table3 --rank 2 selects no checks" in err

@@ -199,7 +199,7 @@ def test_expected_order_closed_forms():
     assert expected_order(FamilySpec("torus36", (2, 1))) == 84
     assert expected_order(FamilySpec("torus63", (1, 1))) == 36
     assert expected_order(FamilySpec("hemi")) == 60
-    assert expected_order(FamilySpec("coxeter", (3, 3))) is None
+    assert expected_order(FamilySpec("coxeter", (3, 3))) == 24
     assert expected_order(FamilySpec("named", ("6-cube",))) is None
     for name, order in NAMED_ORDERS.items():
         assert expected_order(FamilySpec("named", (name,))) == order

@@ -14,8 +14,9 @@ from polyflag.stringc import (is_string_c_group,
 from polyflag.analysis import (analyze, section_flat_pairs, min_nonflat_flags,
                                f_vector)
 from polyflag.permgroup import brute_force_closure, intersect_subgroups
-from polyflag.chiral import (is_chiral, mixed_regular_cover_flags,
-                             chiral_lower_bound)
+from polyflag.chiral import (RotationGroup, is_chiral,
+                             mixed_regular_cover_flags, chiral_lower_bound,
+                             rotation_intersection_advisory)
 
 NAMES = corpus_names()
 SIDECARS = {name: load_entry(name)[1] for name in NAMES}
@@ -104,6 +105,50 @@ def test_recursive_verdict_matches_exhaustive(name, built_groups):
     group = built_groups[name]
     assert is_string_c_group(group).ok == \
         intersection_condition_exhaustive(group).ok
+
+
+def rotation_part(group):
+    """The rotations r_{i-1} r_i of a string group, on its points."""
+    return RotationGroup(None, None, group.rotations())
+
+
+@pytest.mark.parametrize("name", [n for n in REFLECTION_NAMES
+                                  if n != "hemi-icosahedron"])
+def test_rotation_gamma_is_the_even_parabolic(name, built_groups):
+    # tau_{a,b} = r_a r_b, so Gamma_I is <r_i : i in I> cut to the
+    # rotations, wherever the rotations have index 2
+    group = built_groups[name]
+    rotation = rotation_part(group)
+    even = rotation.parabolic_orbit(range(group.rank))
+    assert 2 * len(even) == group.order
+    for size in range(group.rank + 1):
+        for subset in itertools.combinations(range(group.rank), size):
+            assert (rotation.parabolic_orbit(subset)
+                    == group.parabolic_orbit(subset) & even)
+    for i in range(group.rank):
+        assert (rotation.face_stabilizer(i)
+                == group.face_stabilizer(i) & even)
+
+
+@pytest.mark.parametrize("name", REFLECTION_NAMES)
+def test_rotation_oracle_matches_string_verdict(name, built_groups):
+    group = built_groups[name]
+    assert (intersection_condition_exhaustive(rotation_part(group)).ok
+            == is_string_c_group(group).ok)
+
+
+def test_collapsed_entry_rotation_witness(built_groups):
+    verdict = intersection_condition_exhaustive(
+        rotation_part(built_groups["p2-collapsed"]))
+    assert not verdict.ok
+    assert (verdict.witness.left, verdict.witness.right) == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("name", ROTATION_NAMES)
+def test_rotation_entries_pass_the_oracle(name, built_groups):
+    group = built_groups[name]
+    assert intersection_condition_exhaustive(group).ok
+    assert rotation_intersection_advisory(group)
 
 
 @pytest.mark.parametrize("name", POLYTOPAL)
