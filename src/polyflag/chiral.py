@@ -28,6 +28,13 @@ Subgroup orders here ride on the regular representation the same way the
 reflection side does: the orbit of the trivial coset under any set of
 element images is the element set of the subgroup they generate.  The
 subgroup of a rank set I is Gamma_I (RotationGroup.parabolic_orbit).
+
+A torus map's regular action comes from its m vertices, the cosets of
+<s2>: G permutes pairs of vertices, and s2^q = 1 bounds |G| by q m, so
+an orbit of q m vertex pairs certifies that G acts on it regularly.
+The degenerate tori, where a vertex pair has a nontrivial stabilizer,
+and any torus whose vertices pass the coset cap enumerate G over the
+trivial subgroup instead.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ import math
 from dataclasses import dataclass
 
 from .presentation import Word, Presentation, ROTATION, make_presentation
-from .coset_enum import enumerate_cosets, coset_action, DEFAULT_MAX_COSETS
+from .coset_enum import (enumerate_cosets, coset_action, pair_orbit_table,
+                         DEFAULT_MAX_COSETS)
 from .stringc import RegularGroup, dual, window_holds
 from .analysis import FlagBound, f_vector, flatness_spectrum, is_tight
 from .constructions import torus_kind, check_torus_params, torus_order
@@ -81,7 +89,13 @@ def build_rotation_group(pres, max_cosets=DEFAULT_MAX_COSETS):
     if pres.kind != ROTATION:
         raise ValueError("rotation groups are built from rotation "
                          "presentations")
-    table = enumerate_cosets(pres, (), max_cosets)
+    return _shaped_group(pres, enumerate_cosets(pres, (), max_cosets),
+                         max_cosets)
+
+
+def _shaped_group(pres, table, max_cosets):
+    """The rotation group on a regular action table, once its shape
+    holds; see build_rotation_group."""
     gens = coset_action(table)
     m = pres.num_generators
     if pres.declared_schlafli is not None:
@@ -338,7 +352,9 @@ def rotation_torus_map(kind, b, c, max_cosets=DEFAULT_MAX_COSETS):
     {6,3}_(b,c); accepts chiral parameters, unlike the reflection
     builder.  The translation words are the rotational rewrites of the
     reflection-side ones; the order certificate is half the flag count.
-    {6,3}_(b,c) is the dual of {3,6}_(b,c), so it is built as one."""
+    {6,3}_(b,c) is the dual of {3,6}_(b,c), so it is built as one.
+    The regular action is the orbit of the base vertex and a neighbour
+    of it on the base face (coset_enum.pair_orbit_table over <s2>)."""
     kind = torus_kind(kind)
     check_torus_params(b, c)
     if kind == "63":
@@ -353,7 +369,9 @@ def rotation_torus_map(kind, b, c, max_cosets=DEFAULT_MAX_COSETS):
     y = s2.inverse() * x * s2
     pres = make_presentation(ROTATION, 3, symbol,
                              extra_relators=[x ** b * y ** c])
-    group = build_rotation_group(pres, max_cosets)
+    table = pair_orbit_table(pres, 1, s1, max_cosets)
+    group = (build_rotation_group(pres, max_cosets) if table is None
+             else _shaped_group(pres, table, max_cosets))
     expected = torus_order(kind, b, c) // 2
     if group.order != expected:
         raise RotationViolation(

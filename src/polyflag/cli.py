@@ -280,9 +280,12 @@ def _verify_table3(args, results):
 
 
 def _verify_props(args, results):
+    lo, hi = _parse_rank_range(args.rank, (0, sys.maxsize))
     failures = 0
     for name in corpus.corpus_names():
         pres, expected = corpus.load_entry(name)
+        if not lo <= pres.rank <= hi:
+            continue
         if pres.kind == REFLECTION:
             group = build_string_group(pres, args.max_cosets)
             report = analyze(group)

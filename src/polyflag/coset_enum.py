@@ -34,15 +34,22 @@ identical input yields an identical table.  Every table is proved before it
 is returned: complete, mirror-consistent, closed under every relator, and
 with coset 0 fixed by the subgroup words, each relator traced from all
 cosets at once with numpy.
+
+``pair_orbit_table`` reaches a regular action the other way: it enumerates
+the cosets of a cyclic subgroup and walks the orbit of a pair of them,
+which is regular when its size meets the bound the subgroup's period sets.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from .presentation import Word
 
 DEFAULT_MAX_COSETS = 2_000_000
 
@@ -367,11 +374,7 @@ def enumerate_cosets(pres, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
     live at once.
     """
     ncols = 2 * pres.num_generators
-    relators = []
-    for w in pres.relators:
-        cols = _cyclic_reduce(word_to_columns(w))
-        if cols:
-            relators.append(cols)
+    relators = _relator_columns(pres)
     sub = [word_to_columns(w) for w in subgroup_words]
     enum = _Enumerator(ncols, relators, max_cosets)
     enum.run(sub)
@@ -382,6 +385,68 @@ def enumerate_cosets(pres, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
     )
     del enum  # free the working table before the proof allocates arrays
     _check_table(table, relators, sub)
+    return table
+
+
+def _relator_columns(pres):
+    """The relators as cyclically reduced column tuples, empty ones
+    dropped."""
+    relators = []
+    for w in pres.relators:
+        cols = _cyclic_reduce(word_to_columns(w))
+        if cols:
+            relators.append(cols)
+    return relators
+
+
+def pair_orbit_table(pres, gen, word, max_cosets=DEFAULT_MAX_COSETS):
+    """The regular action of the presented group as the orbit of a pair
+    of cosets of H = <s>, s generator ``gen``, or None when that orbit
+    is not certified regular.
+
+    H is enumerated first; say it has m cosets.  The group acts on
+    pairs of them, and the orbit O of (H, H w), w = ``word``, is
+    walked breadth-first and numbered in visit order, so its start is
+    point 0.  Relators s^q bound |H| by q (the gcd of their lengths), so
+    |O| <= |G| <= q m, and when |O| = q m the point stabilizer is
+    trivial: the action on O is the regular action, numbered otherwise
+    than an enumeration over the trivial subgroup numbers it.  With no
+    relator s^q there is no bound and the result is None, as it is when
+    |O| < q m or when enumerating H hits ``max_cosets``, so the caller
+    can enumerate the group plainly.  An orbit of more than
+    ``max_cosets`` points raises CosetLimitExceeded: then |G| is over
+    the cap too.  The table is proved like every enumerated one.
+    """
+    powers = [len(w) for w in pres.relators
+              if len(set(w.letters)) == 1 and w.letters[0][0] == gen]
+    if not powers:
+        return None
+    try:
+        cosets = enumerate_cosets(pres, (Word.gen(gen),), max_cosets)
+    except CosetLimitExceeded:
+        return None
+    m = cosets.num_cosets
+    rows = cosets.action
+    start = cosets.trace(0, word)
+    index = {start: 0}  # point (a, b) is keyed a * m + b
+    points = [(0, start)]
+    action = []
+    for a, b in points:  # the list grows while it is walked
+        row = []
+        for x, y in zip(rows[a], rows[b]):
+            key = x * m + y
+            p = index.get(key)
+            if p is None:
+                if len(points) == max_cosets:
+                    raise CosetLimitExceeded(max_cosets, max_cosets)
+                p = index[key] = len(points)
+                points.append((x, y))
+            row.append(p)
+        action.append(tuple(row))
+    if len(points) < math.gcd(*powers) * m:
+        return None
+    table = CosetTable(pres.num_generators, len(points), tuple(action))
+    _check_table(table, _relator_columns(pres), ())
     return table
 
 

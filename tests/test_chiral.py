@@ -9,7 +9,8 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from polyflag.presentation import (Word, Presentation, make_presentation,
                                    REFLECTION, ROTATION)
-from polyflag.constructions import coxeter, torus_map
+from polyflag.constructions import coxeter, torus_map, torus_order
+from polyflag.coset_enum import CosetLimitExceeded
 from polyflag.analysis import (FlagBound, analyze, f_vector, flatness_spectrum,
                                is_tight)
 from polyflag import chiral
@@ -522,3 +523,69 @@ def test_chiral_report_regular_group():
     assert payload["is_chiral"] is False
     assert payload["bound_check"] is None
     assert payload["mixed_cover_flags"] == payload["flags"] == 64
+
+
+# -- torus maps from the orbit of a vertex pair ------------------------------
+# The orbit table is numbered in visit order, not as an enumeration over
+# the trivial subgroup numbers it, so these compare orders and reports.
+
+_DEGENERATE_TORI = {(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}
+
+
+@pytest.mark.parametrize("kind", ["44", "36", "63"])
+def test_torus_route_matches_plain_enumeration(kind):
+    for b in range(7):
+        for c in range(7):
+            if (b, c) == (0, 0):
+                continue
+            group = rotation_torus_map(kind, b, c)
+            plain = build_rotation_group(group.pres)
+            assert group.order == plain.order, (b, c)
+            assert chiral_report(group) == chiral_report(plain), (b, c)
+
+
+@pytest.mark.parametrize("kind", ["44", "36"])
+def test_only_degenerate_tori_fall_back(kind, monkeypatch):
+    fell_back = []
+    build = chiral.build_rotation_group
+
+    def plain(pres, max_cosets):
+        fell_back.append(pres)
+        return build(pres, max_cosets)
+
+    monkeypatch.setattr(chiral, "build_rotation_group", plain)
+    degenerate = set()
+    for b in range(7):
+        for c in range(7):
+            if (b, c) == (0, 0):
+                continue
+            fell_back.clear()
+            group = rotation_torus_map(kind, b, c)
+            assert group.order == torus_order(kind, b, c) // 2
+            if fell_back:
+                degenerate.add((b, c))
+    assert degenerate == _DEGENERATE_TORI
+
+
+def test_torus_orbit_over_the_cap_raises():
+    with pytest.raises(CosetLimitExceeded) as info:
+        rotation_torus_map("36", 11, 9, max_cosets=1000)
+    assert info.value.max_cosets == 1000
+
+
+def test_torus_vertex_enumeration_over_the_cap_falls_back():
+    # {4,4}_(3,5) has 34 vertices: enumerating them already passes a cap
+    # of 20, so the plain enumeration runs and stops as it always did
+    with pytest.raises(CosetLimitExceeded) as info:
+        rotation_torus_map("44", 3, 5, max_cosets=20)
+    assert str(info.value) == (
+        "coset limit 20 exceeded (high water 20 live cosets)")
+
+
+@pytest.mark.parametrize("kind, b, c", [("44", 1, 2), ("44", 3, 5),
+                                        ("36", 1, 2), ("36", 11, 9)])
+def test_torus_fits_a_cap_equal_to_its_order(kind, b, c):
+    # an enumeration over the trivial subgroup needs more live cosets
+    order = torus_order(kind, b, c) // 2
+    group = rotation_torus_map(kind, b, c, max_cosets=order)
+    assert group.order == order

@@ -7,7 +7,7 @@ import pytest
 
 from polyflag import cli, coset_enum
 from polyflag.cli import main, build_parser, ENV_MAX_COSETS
-from polyflag.corpus import entry_text
+from polyflag.corpus import entry_text, load_entry
 
 
 def run(capsys, *argv):
@@ -345,7 +345,7 @@ def test_verify_bad_rank_range(capsys):
     assert "bad rank range" in err
 
 
-@pytest.mark.parametrize("suite", ["table2", "table3"])
+@pytest.mark.parametrize("suite", ["table2", "table3", "props"])
 def test_verify_reversed_rank_range_fails(capsys, suite):
     code, out, err = run(capsys, "verify", suite, "--rank", "5..3")
     assert code == 1
@@ -358,3 +358,25 @@ def test_verify_selecting_nothing_fails(capsys):
     assert code == 1
     assert "table3: 0 checks, 0 failures" in out
     assert "error: table3 --rank 2 selects no checks" in err
+
+
+def test_verify_props_selecting_nothing_fails(capsys):
+    code, out, err = run(capsys, "verify", "props", "--rank", "9")
+    assert code == 1
+    assert "props: 0 checks, 0 failures" in out
+    assert "error: props --rank 9 selects no checks" in err
+
+
+def test_verify_props_rank_range_keeps_its_entries(capsys):
+    code, out, _ = run(capsys, "--json", "verify", "props", "--rank", "4..5")
+    assert code == 0
+    entries = [r["entry"] for r in json.loads(out[out.find("{"):])["results"]]
+    assert len(entries) == 10
+    assert all(4 <= load_entry(name)[0].rank <= 5 for name in entries)
+
+
+def test_construct_torus_over_the_cap_exits_2(capsys):
+    code, _, err = run(capsys, "--max-cosets", "40",
+                       "construct", "torus44", "3", "5")
+    assert code == 2
+    assert "enumeration limit:" in err

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from polyflag.corpus import load_entry
-from polyflag.presentation import (Word, make_presentation,
-                                   parse_presentation, REFLECTION)
+from polyflag.presentation import (Word, Presentation, make_presentation,
+                                   parse_presentation, REFLECTION, ROTATION)
 from polyflag.coset_enum import (
     CosetLimitExceeded, enumerate_cosets, group_order, coset_action,
-    InternalError, relators_close, word_to_columns, _check_table,
-    _Enumerator,
+    InternalError, relators_close, word_to_columns, pair_orbit_table,
+    _check_table, _Enumerator,
 )
+from polyflag.permgroup import orbit
 
 PERFBENCH_INPUTS = (Path(__file__).resolve().parent.parent / "perfbench"
                     / "inputs.py")
@@ -363,3 +364,46 @@ def test_relators_close_matches_loop(table_periods, rel_periods):
     table = enumerate_cosets(cox(*table_periods), ())
     pres = cox(*rel_periods)
     assert relators_close(pres, table) == closes_by_loop(pres, table)
+
+
+def _torus_pres(kind, b, c):
+    from polyflag.chiral import rotation_torus_map
+    return rotation_torus_map(kind, b, c).pres
+
+
+@pytest.mark.parametrize("kind, b, c, period", [("44", 1, 2, 4),
+                                                ("44", 3, 5, 4),
+                                                ("36", 2, 3, 6)])
+def test_pair_orbit_table_is_the_regular_action(kind, b, c, period):
+    pres = _torus_pres(kind, b, c)
+    vertices = enumerate_cosets(pres, (Word.gen(1),)).num_cosets
+    table = pair_orbit_table(pres, 1, Word.gen(0))
+    # a transitive action of G on |G| points is the regular action
+    assert table.num_cosets == period * vertices == group_order(pres)
+    assert relators_close(pres, table)
+    assert len(orbit(coset_action(table), 0)) == table.num_cosets
+
+
+def test_pair_orbit_table_rejects_a_pair_with_a_stabilizer():
+    # {4,4}_(2,0) has double edges: the pair orbit is smaller than 4 m
+    assert pair_orbit_table(_torus_pres("44", 2, 0), 1, Word.gen(0)) is None
+
+
+def test_pair_orbit_table_needs_a_period():
+    s1, s2 = Word.gen(0), Word.gen(1)
+    # s2 = s1^-2 in this group of order 2, but no relator is a power of s2
+    pres = Presentation(num_generators=2, kind=ROTATION,
+                        relators=(s1 ** 4, (s1 * s2) ** 2, s2 * s1 ** 2))
+    assert group_order(pres) == 2
+    assert pair_orbit_table(pres, 1, s1) is None
+
+
+def test_pair_orbit_table_over_the_cap():
+    pres = _torus_pres("36", 11, 9)  # 301 vertices, order 1806
+    with pytest.raises(CosetLimitExceeded) as info:
+        pair_orbit_table(pres, 1, Word.gen(0), max_cosets=1000)
+    assert (info.value.max_cosets, info.value.high_water) == (1000, 1000)
+    # enumerating the vertices passes a cap of 200: no answer, no error
+    assert pair_orbit_table(pres, 1, Word.gen(0), max_cosets=200) is None
+    assert pair_orbit_table(pres, 1, Word.gen(0),
+                            max_cosets=1806).num_cosets == 1806

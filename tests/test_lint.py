@@ -45,3 +45,34 @@ def test_no_unused_imports_in_library():
                     unused.append(f"{path.relative_to(SRC)}:{node.lineno} "
                                   f"{name}")
     assert unused == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_private_names_imported_across_modules():
+    # a leading underscore keeps a name inside its module: no library
+    # module imports one from another or reads one off an imported module
+    paths = sorted(SRC.rglob("*.py"))
+    assert len(paths) > 5
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module is None):
+                modules.update((a.asname or a.name).split(".")[0]
+                               for a in node.names)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.extend(f"{path.relative_to(SRC)}:{node.lineno} "
+                             f"{a.name}" for a in node.names
+                             if any(map(_private, a.name.split("."))))
+        found.extend(f"{path.relative_to(SRC)}:{node.lineno} "
+                     f"{node.value.id}.{node.attr}"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id in modules and _private(node.attr))
+    assert found == []
