@@ -33,8 +33,7 @@ from .constructions import (CertificateMismatch, AmalgamCollapse,
                             build_family)
 from .chiral import (RotationGroup, RotationViolation, StructureFacts,
                      build_rotation_group, is_chiral, enantiomorph, mix_order,
-                     mixed_regular_cover_flags,
-                     rotation_intersection_advisory, chiral_lower_bound,
+                     mixed_regular_cover_flags, chiral_lower_bound,
                      weakest_chiral_bound, structure_constraint_audit,
                      rotation_torus_map, chiral_report)
 

@@ -27,7 +27,9 @@ s_1 = (s_1^{-1})^{-1} and s_2 = s_1^{-2} (s_1^2 s_2).
 Subgroup orders here ride on the regular representation the same way the
 reflection side does: the orbit of the trivial coset under any set of
 element images is the element set of the subgroup they generate.  The
-subgroup of a rank set I is Gamma_I (RotationGroup.parabolic_orbit).
+subgroup of a rank set I is Gamma_I (RotationGroup.parabolic_orbit), so
+stringc.is_string_c_group runs unchanged: it holds when G is a string
+C+-group, the rotation group of a chiral or a directly regular polytope.
 
 A torus map's regular action comes from its m vertices, the cosets of
 <s2>: G permutes pairs of vertices, and s2^q = 1 bounds |G| by q m, so
@@ -45,10 +47,10 @@ from dataclasses import dataclass
 from .presentation import Word, Presentation, ROTATION, make_presentation
 from .coset_enum import (enumerate_cosets, coset_action, pair_orbit_table,
                          DEFAULT_MAX_COSETS)
-from .stringc import RegularGroup, dual, window_holds
+from .stringc import RegularGroup, dual, is_string_c_group
 from .analysis import FlagBound, f_vector, flatness_spectrum, is_tight
 from .constructions import torus_kind, check_torus_params, torus_order
-from .permgroup import word_image
+from .permgroup import orbit, word_image
 # unused here, but the benchmark's tracer installs a span at chiral.build_chain
 from .permgroup import build_chain  # noqa: F401
 
@@ -98,11 +100,10 @@ def _shaped_group(pres, table, max_cosets):
     holds; see build_rotation_group."""
     gens = coset_action(table)
     m = pres.num_generators
-    if pres.declared_schlafli is not None:
-        for i, p in enumerate(pres.declared_schlafli):
-            if p is not None and gens[i].order() != p:
-                raise RotationViolation(
-                    f"s{i + 1} has order {gens[i].order()}, declared {p}")
+    for i, p in enumerate(pres.declared_schlafli or ()):
+        # the action is regular: the cycle through 0 has the order
+        if p is not None and (k := len(orbit([gens[i]], 0))) != p:
+            raise RotationViolation(f"s{i + 1} has order {k}, declared {p}")
     for i in range(m):
         prod = gens[i]
         for j in range(i + 1, m):
@@ -227,15 +228,6 @@ def mixed_regular_cover_flags(group):
     """
     mirror = RotationGroup(None, group.table, _mirror_images(group))
     return 2 * mix_order(group, mirror)
-
-
-def rotation_intersection_advisory(group):
-    """Sanity check on polytopality of the rotation group: on the whole
-    window 0..n-1 the facet and vertex-figure subgroups meet exactly in
-    the medial one.  Necessary, but not known to be sufficient in high
-    rank.
-    """
-    return window_holds(group, 0, group.rank - 1)
 
 
 def chiral_lower_bound(rank, facet_kind, vf_kind):
@@ -384,7 +376,8 @@ def chiral_report(group):
     """JSON-ready analysis of a rotation group.
 
     The structure audit runs on what the group alone determines: its own
-    flat pairs and tightness, with section kinds left unknown.
+    flat pairs and tightness, with section kinds left unknown.  c_group
+    and c_group_witness (on failure) are as for a string group.
     """
     flags = group.flag_count()
     cover = mixed_regular_cover_flags(group)
@@ -399,7 +392,8 @@ def chiral_report(group):
                        "ok": flags >= bound}
     else:
         bound_check = None
-    return {
+    verdict = is_string_c_group(group)
+    payload = {
         "order": group.order,
         "flags": flags,
         "is_chiral": chiral,
@@ -408,6 +402,8 @@ def chiral_report(group):
         "mixed_cover_flags": cover,
         "bound_check": bound_check,
         "audit_violations": list(structure_constraint_audit(facts)),
-        "rotation_intersection_advisory":
-            rotation_intersection_advisory(group),
+        "c_group": verdict.ok,
     }
+    if not verdict.ok:
+        payload["c_group_witness"] = verdict.witness.rank_sets()
+    return payload

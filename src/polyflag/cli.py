@@ -5,12 +5,13 @@ file, ``construct`` builds a named family and analyzes the result, and
 ``verify`` re-checks the flag-count tables and the structural theorems
 over the bundled corpus.
 
-Exit codes: 0 clean; 1 for any domain-level failure (intersection
-condition fails, audit violations, certificate mismatch, amalgam
-collapse) or bad arguments, and 1 with an ``internal error:`` message
-when a result fails one of the library's own runtime proofs; 2 when the
-coset limit is hit or a bare Coxeter symbol's closed-form order is
-infinite or over it; 3 when the input file does not parse.
+Exit codes: 0 clean; 1 for any domain-level failure (a string or a
+rotation group fails the intersection condition, audit violations,
+certificate mismatch, amalgam collapse) or bad arguments, and 1 with an
+``internal error:`` message when a result fails one of the library's own
+runtime proofs; 2 when the coset limit is hit or a bare Coxeter symbol's
+closed-form order is infinite or over it; 3 when the input file does not
+parse.
 """
 
 from __future__ import annotations
@@ -46,17 +47,23 @@ def _emit(args, payload, lines):
             print(line)
 
 
+def _verdict_lines(payload, name):
+    """The intersection-condition verdict, and its witness on failure."""
+    lines = [f"{name}: {'yes' if payload['c_group'] else 'NO'}"]
+    if "c_group_witness" in payload:
+        left, right = payload["c_group_witness"]
+        lines.append(f"  witness: <{left}> meets <{right}> too large")
+    return lines
+
+
 def _reflection_lines(payload):
     lines = [
         f"rank {payload['rank']}  order {payload['order']}"
         f"  flags {payload['flag_count']}",
         "schlafli " + " ".join(str(p) for p in payload["schlafli"]),
         "f-vector " + " ".join(str(f) for f in payload["f_vector"]),
-        f"string C-group: {'yes' if payload['c_group'] else 'NO'}",
+        *_verdict_lines(payload, "string C-group"),
     ]
-    if not payload["c_group"] and "c_group_witness" in payload:
-        left, right = payload["c_group_witness"]
-        lines.append(f"  witness: <{left}> meets <{right}> too large")
     flats = payload["flat_pairs"]
     lines.append("flat pairs " + (
         " ".join(f"({k},{m})" for k, m in flats) if flats else "none"))
@@ -81,9 +88,7 @@ def _rotation_lines(payload):
         lines.append(
             f"flag bound for rank: {b['minimum_flags']}"
             f" <= {b['flags']}: {'ok' if b['ok'] else 'VIOLATED'}")
-    if not payload["rotation_intersection_advisory"]:
-        lines.append("advisory: rotation subgroups fail the "
-                     "intersection sanity check")
+    lines.extend(_verdict_lines(payload, "string C+-group"))
     if payload["audit_violations"]:
         lines.append("AUDIT: " + ", ".join(payload["audit_violations"]))
     return lines
@@ -95,19 +100,16 @@ def _report(group):
         return payload, _rotation_lines(payload)
     report = analyze(group)
     payload = report.to_json()
-    if not report.c_group and report.c_group_witness is not None:
-        w = report.c_group_witness
-        payload["c_group_witness"] = [sorted(w.left), sorted(w.right)]
+    if not report.c_group:
+        payload["c_group_witness"] = report.c_group_witness.rank_sets()
     return payload, _reflection_lines(payload)
 
 
 def _clean(payload):
-    """No audit violation; the C-group condition, or for rotation input
-    the intersection advisory, and the flag bound hold."""
+    """No audit violation; the intersection condition (string C-group,
+    or C+-group for rotation input) and the flag bound hold."""
     bound = payload.get("bound_check")
-    return (payload.get("c_group", True)
-            and payload.get("rotation_intersection_advisory", True)
-            and not payload["audit_violations"]
+    return (payload["c_group"] and not payload["audit_violations"]
             and (bound is None or bound["ok"]))
 
 

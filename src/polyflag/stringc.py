@@ -3,7 +3,8 @@
 A reflection presentation whose generator images are involutions that
 commute at distance two or more presents a string group; it is the
 automorphism group of a regular polytope exactly when it also satisfies
-the intersection condition, which makes it a string C-group.
+the intersection condition, which makes it a string C-group.  The same
+verdict makes a rotation group a string C+-group.
 
 All subgroup computations here ride on the regular representation coming
 out of the coset enumeration: a subgroup's elements are exactly the orbit
@@ -58,6 +59,10 @@ class IntersectionWitness:
     intersection_order: int
     expected_order: int
 
+    def rank_sets(self):
+        """[left, right] as lists: a JSON report's c_group_witness."""
+        return [list(self.left), list(self.right)]
+
 
 @dataclass(frozen=True)
 class CGroupVerdict:
@@ -111,9 +116,11 @@ class RegularGroup:
         return type(self)(None, None, self.gens[lo:hi + 1], self.max_cosets)
 
     def schlafli_symbol(self):
-        """Orders of the rotations, computed once per group."""
+        """Orders of the rotations, computed once per group: the action
+        is free, so each is the length of the cycle through point 0."""
         if self._schlafli is None:
-            self._schlafli = tuple(g.order() for g in self.rotations())
+            self._schlafli = tuple(len(orbit([g], 0))
+                                   for g in self.rotations())
         return self._schlafli
 
     def parabolic_order(self, subset):
@@ -210,11 +217,9 @@ def _witness_scan(group):
     """Smallest pair of rank sets I, J whose subgroups meet in more than
     the subgroup of I & J: parabolics of a string group, or the Gamma_I
     of a rotation group."""
-    indices = range(group.rank)
-    subsets = []
-    for size in range(1, group.rank + 1):
-        subsets.extend(combinations(indices, size))
-    subsets.sort(key=lambda s: (len(s), s))
+    n = group.rank
+    subsets = [s for size in range(1, n + 1)
+               for s in combinations(range(n), size)]
     for left in subsets:
         for right in subsets:
             meet = frozenset(left) & frozenset(right)
@@ -236,19 +241,18 @@ def window_holds(group, lo, hi):
 
 
 def is_string_c_group(group):
-    """Intersection-condition verdict, window by window.
+    """Intersection-condition verdict, window by window, for a string
+    group or a rotation group (a string C+-group when it holds).
 
-    Neighbouring generators must be distinct, and window_holds on every
-    window lo..hi of three or more generators, narrowest first.
-    Together these are the recursive condition on the whole string.  On
-    failure the verdict carries the smallest offending subset pair.
+    window_holds on every window lo..hi of two or more ranks, narrowest
+    first, is the recursive condition on the whole string.  A width-2
+    window asks r_lo != r_lo+1 of a string group and always holds on a
+    rotation group, whose single-rank subgroups are trivial.  On failure
+    the verdict carries the smallest offending subset pair.
     """
-    n, gens = group.rank, group.gens
-    ok = (all(gens[i] != gens[i + 1] for i in range(n - 1))
-          and all(window_holds(group, lo, lo + width - 1)
-                  for width in range(3, n + 1)
-                  for lo in range(n - width + 1)))
-    if ok:
+    n = group.rank
+    if all(window_holds(group, lo, lo + width - 1)
+           for width in range(2, n + 1) for lo in range(n - width + 1)):
         return CGroupVerdict(True)
     witness = _witness_scan(group)
     if witness is None:  # a window said no but no small witness: impossible
@@ -263,6 +267,4 @@ def intersection_condition_exhaustive(group):
     Quadratic in the number of subsets, usable for small groups only.
     """
     witness = _witness_scan(group)
-    if witness is None:
-        return CGroupVerdict(True)
-    return CGroupVerdict(False, witness)
+    return CGroupVerdict(witness is None, witness)

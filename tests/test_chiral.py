@@ -16,11 +16,11 @@ from polyflag.analysis import (FlagBound, analyze, f_vector, flatness_spectrum,
 from polyflag import chiral
 from polyflag.corpus import load_entry
 from polyflag.permgroup import orbit, word_image
-from polyflag.stringc import dual, intersection_condition_exhaustive
+from polyflag.stringc import (dual, intersection_condition_exhaustive,
+                              is_string_c_group)
 from polyflag.chiral import (
     RotationGroup, RotationViolation, build_rotation_group, is_chiral,
     enantiomorph, mix_order, mixed_regular_cover_flags,
-    rotation_intersection_advisory,
     chiral_lower_bound, weakest_chiral_bound,
     StructureFacts, structure_constraint_audit, rotation_torus_map,
     chiral_report, _mirror_word,
@@ -78,19 +78,38 @@ def test_torus_rotation_orders_and_chirality_classification(kind, factor):
             # the smallest lattices collapse below polytopality:
             # {4,4} needs norm > 2, {3,6} needs norm > 1
             polytopal = norm > (2 if kind == "44" else 1)
-            assert rotation_intersection_advisory(group) == polytopal
+            assert is_string_c_group(group).ok == polytopal
             assert group.flag_count() % 4 == 0
 
 
 @pytest.mark.parametrize("kind", ["44", "36"])
 def test_torus_rotation_oracle_is_the_polytopality_rule(kind):
-    for b in range(1, 5):
-        for c in range(0, b + 1):
+    # every torus with b, c <= 6, both handednesses: the window verdict
+    # and its witness equal the exhaustive pair scan, and it holds
+    # exactly when {4,4} has norm above 2, {3,6} above 1
+    for b in range(7):
+        for c in range(7):
+            if (b, c) == (0, 0):
+                continue
             group = rotation_torus_map(kind, b, c)
             norm = (b * b + c * c if kind == "44"
                     else b * b + b * c + c * c)
             polytopal = norm > (2 if kind == "44" else 1)
-            assert intersection_condition_exhaustive(group).ok == polytopal
+            verdict = is_string_c_group(group)
+            assert verdict == intersection_condition_exhaustive(group)
+            assert verdict.ok == polytopal
+
+
+def test_rotation_verdict_runs_on_rotation_groups():
+    # a rank-3 rotation group has two generators; the verdict reads no third
+    assert is_string_c_group(rotation_torus_map("44", 1, 2)).ok
+    # {4,4}_(1,1): the relator s1 s2^-2 s1, too small to be polytopal
+    group = rotation_torus_map("44", 1, 1)
+    assert group.order == 8
+    verdict = is_string_c_group(group)
+    assert not verdict.ok
+    assert (verdict.witness.left, verdict.witness.right) == ((0, 1), (1, 2))
+    assert verdict == intersection_condition_exhaustive(group)
 
 
 def test_torus_63_duality():
@@ -348,7 +367,7 @@ def test_338_polytope():
     vertices, facets = faces[0], faces[-1]
     assert (vertices, facets) == (4, 16)
     assert vertices >= 3 and facets >= 3
-    assert rotation_intersection_advisory(group)
+    assert is_string_c_group(group).ok
     assert not is_tight(group)
     assert mixed_regular_cover_flags(group) == 768
     # the flag count meets the rank-4 regular/regular bound exactly
@@ -509,9 +528,9 @@ def test_audit_unknown_sections_skip():
 def test_chiral_report_keys_and_values():
     payload = chiral_report(rotation_torus_map("44", 1, 2))
     assert sorted(payload) == [
-        "audit_violations", "bound_check", "facets", "flags", "is_chiral",
-        "mixed_cover_flags", "order", "rotation_intersection_advisory",
-        "vertices"]
+        "audit_violations", "bound_check", "c_group", "facets", "flags",
+        "is_chiral", "mixed_cover_flags", "order", "vertices"]
+    assert payload["c_group"] is True
     assert payload["is_chiral"] is True
     assert payload["bound_check"] == {
         "minimum_flags": 40, "flags": 40, "ok": True}

@@ -46,6 +46,7 @@ def test_analyze_rotation(tmp_path, capsys):
     assert "chiral: yes" in out
     assert "flags 40" in out
     assert "smallest regular cover: 200 flags" in out
+    assert "string C+-group: yes" in out
 
 
 def test_analyze_rotation_failing_intersection_exits_1(tmp_path, capsys):
@@ -56,8 +57,13 @@ def test_analyze_rotation_failing_intersection_exits_1(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", str(path))
     assert code == 1
     assert "rotation group, order 8  flags 16" in out
-    assert ("advisory: rotation subgroups fail the intersection sanity"
-            " check") in out
+    assert "string C+-group: NO" in out
+    assert "  witness: <[0, 1]> meets <[1, 2]> too large" in out
+    code, out, _ = run(capsys, "--json", "analyze", str(path))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["c_group"] is False
+    assert payload["c_group_witness"] == [[0, 1], [1, 2]]
 
 
 @pytest.mark.parametrize(
@@ -66,7 +72,9 @@ def test_analyze_rotation_corpus_exits_0(tmp_path, capsys, name):
     code, out, _ = run(capsys, "--json", "analyze",
                        corpus_file(tmp_path, name))
     assert code == 0
-    assert json.loads(out)["rotation_intersection_advisory"] is True
+    payload = json.loads(out)
+    assert payload["c_group"] is True
+    assert "c_group_witness" not in payload
 
 
 def test_analyze_json_schema(tmp_path, capsys):

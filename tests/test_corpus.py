@@ -15,8 +15,7 @@ from polyflag.analysis import (analyze, section_flat_pairs, min_nonflat_flags,
                                f_vector)
 from polyflag.permgroup import brute_force_closure, intersect_subgroups
 from polyflag.chiral import (RotationGroup, is_chiral,
-                             mixed_regular_cover_flags, chiral_lower_bound,
-                             rotation_intersection_advisory)
+                             mixed_regular_cover_flags, chiral_lower_bound)
 
 NAMES = corpus_names()
 SIDECARS = {name: load_entry(name)[1] for name in NAMES}
@@ -132,23 +131,29 @@ def test_rotation_gamma_is_the_even_parabolic(name, built_groups):
 
 @pytest.mark.parametrize("name", REFLECTION_NAMES)
 def test_rotation_oracle_matches_string_verdict(name, built_groups):
+    # the window verdict on the rotations agrees with the entry's own
+    # verdict, and with the oracle on the rotations, witness included
     group = built_groups[name]
-    assert (intersection_condition_exhaustive(rotation_part(group)).ok
-            == is_string_c_group(group).ok)
+    rotation = rotation_part(group)
+    verdict = is_string_c_group(rotation)
+    assert verdict.ok == is_string_c_group(group).ok
+    assert verdict == intersection_condition_exhaustive(rotation)
 
 
 def test_collapsed_entry_rotation_witness(built_groups):
-    verdict = intersection_condition_exhaustive(
-        rotation_part(built_groups["p2-collapsed"]))
-    assert not verdict.ok
-    assert (verdict.witness.left, verdict.witness.right) == ((0, 1), (1, 2))
+    rotation = rotation_part(built_groups["p2-collapsed"])
+    for verdict in (intersection_condition_exhaustive(rotation),
+                    is_string_c_group(rotation)):
+        assert not verdict.ok
+        assert ((verdict.witness.left, verdict.witness.right)
+                == ((0, 1), (1, 2)))
 
 
 @pytest.mark.parametrize("name", ROTATION_NAMES)
 def test_rotation_entries_pass_the_oracle(name, built_groups):
     group = built_groups[name]
     assert intersection_condition_exhaustive(group).ok
-    assert rotation_intersection_advisory(group)
+    assert is_string_c_group(group).ok
 
 
 @pytest.mark.parametrize("name", POLYTOPAL)
