@@ -34,7 +34,7 @@ from .constructions import (CertificateMismatch, AmalgamCollapse,
 from .chiral import (RotationGroup, RotationViolation, StructureFacts,
                      build_rotation_group, is_chiral, enantiomorph, mix_order,
                      mixed_regular_cover_flags, chiral_lower_bound,
-                     weakest_chiral_bound, structure_constraint_audit,
-                     rotation_torus_map, chiral_report)
+                     structure_constraint_audit, rotation_torus_map,
+                     chiral_report)
 
 __version__ = "0.1.0"

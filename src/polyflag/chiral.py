@@ -230,6 +230,19 @@ def mixed_regular_cover_flags(group):
     return 2 * mix_order(group, mirror)
 
 
+# profile -> rank -> bound, below the ranks where the closed forms hold
+_SMALL_RANK_BOUNDS = {
+    ("regular", "regular"): {3: FlagBound(40, True), 4: FlagBound(384, True),
+                             5: FlagBound(4004, False)},
+    ("chiral", "regular"): {4: FlagBound(240, True),
+                            5: FlagBound(4004, False, upper=4608),
+                            6: FlagBound(18432, False)},
+    ("chiral", "chiral"): {4: FlagBound(240, True), 5: FlagBound(1440, True),
+                           6: FlagBound(18432, True),
+                           7: FlagBound(55296, False)},
+}
+
+
 def chiral_lower_bound(rank, facet_kind, vf_kind):
     """Minimum flag count of a chiral polytope with the given rank and
     facet/vertex-figure kinds, as a FlagBound.
@@ -249,51 +262,22 @@ def chiral_lower_bound(rank, facet_kind, vf_kind):
         raise ValueError(f"chiral polytopes have rank at least 3, got {n}")
     if (fk, vk) == ("regular", "chiral"):
         fk, vk = "chiral", "regular"
-    if (fk, vk) == ("regular", "regular"):
-        if n == 3:
-            return FlagBound(40, True)
-        if n == 4:
-            return FlagBound(384, True)
-        if n == 5:
-            return FlagBound(4004, False)
-        return FlagBound(16 * n * math.factorial(n) // 3, False)
-    if n == 3:
+    if n == 3 and fk == "chiral":
         raise ValueError("rank-3 sections are polygons, always regular")
-    if (fk, vk) == ("chiral", "regular"):
-        if n == 4:
-            return FlagBound(240, True)
-        if n == 5:
-            return FlagBound(4004, False, upper=4608)
-        if n == 6:
-            return FlagBound(18432, False)
-        return FlagBound(16 * (n - 1) * math.factorial(n - 1), False)
-    if n == 4:
-        return FlagBound(240, True)
-    if n == 5:
-        return FlagBound(1440, True)
-    if n == 6:
-        return FlagBound(18432, True)
-    if n == 7:
-        return FlagBound(55296, False)
-    return FlagBound(48 * (n - 2) * math.factorial(n - 2), False)
-
-
-def weakest_chiral_bound(rank):
-    """Smallest bound over all section profiles valid at this rank: the
-    flag count any chiral polytope of the rank must meet."""
-    if rank == 3:
-        return chiral_lower_bound(3, "regular", "regular").value
-    return min(chiral_lower_bound(rank, fk, vk).value
-               for fk in ("regular", "chiral") for vk in ("regular", "chiral"))
+    f = math.factorial
+    closed = {("regular", "regular"): 16 * n * f(n) // 3,
+              ("chiral", "regular"): 16 * (n - 1) * f(n - 1),
+              ("chiral", "chiral"): 48 * (n - 2) * f(n - 2)}[fk, vk]
+    return _SMALL_RANK_BOUNDS[fk, vk].get(n, FlagBound(closed, False))
 
 
 @dataclass(frozen=True)
 class StructureFacts:
     """What is known about a claimed chiral polytope, for auditing.
 
-    facet_kind, vf_kind and medial_kind are "regular", "chiral" or None
-    for unknown; medial_kind classifies the rank-(n-2) medial sections.
-    facet_flat_pairs, when known, is the facet's own flatness spectrum.
+    facet_kind, vf_kind and the medial sections' medial_kind are
+    "regular", "chiral" or None for unknown, and facet_flat_pairs is the
+    facet's own flatness spectrum; chiral_report computes all of them.
     Checks whose inputs are unknown are skipped, so the audit only
     reports definite contradictions.
     """
@@ -372,26 +356,36 @@ def rotation_torus_map(kind, b, c, max_cosets=DEFAULT_MAX_COSETS):
     return group
 
 
+def _kind(section):
+    return "chiral" if is_chiral(section) else "regular"
+
+
 def chiral_report(group):
     """JSON-ready analysis of a rotation group.
 
-    The structure audit runs on what the group alone determines: its own
-    flat pairs and tightness, with section kinds left unknown.  c_group
-    and c_group_witness (on failure) are as for a string group.
+    facet_kind and vf_kind are is_chiral of the facet s_1..s_{n-2} and
+    the vertex-figure s_2..s_{n-1} (None below rank 3).  Only a chiral
+    group gets the flag bound of that profile and the structure audit,
+    on facts computed from it and, from rank 5, the medial s_2..s_{n-2}.
+    c_group and c_group_witness (on failure) are as for a string group.
     """
-    flags = group.flag_count()
+    n, flags = group.rank, group.flag_count()
     cover = mixed_regular_cover_flags(group)
     chiral = cover != flags
     faces = f_vector(group)
-    facts = StructureFacts(group.rank, facet_kind=None, vf_kind=None,
-                           flat_pairs=flatness_spectrum(group),
-                           tight=is_tight(group))
-    if chiral:
-        bound = weakest_chiral_bound(group.rank)
+    fk, vk, bound_check, violations = None, None, None, []
+    if n >= 3:
+        facet = group.section(0, n - 3)
+        fk, vk = _kind(facet), _kind(group.section(1, n - 2))
+    if chiral:  # a rank-2 rotation group is cyclic, never chiral
+        bound = chiral_lower_bound(n, fk, vk).value
         bound_check = {"minimum_flags": bound, "flags": flags,
                        "ok": flags >= bound}
-    else:
-        bound_check = None
+        violations = structure_constraint_audit(StructureFacts(
+            n, fk, vk, flat_pairs=flatness_spectrum(group),
+            tight=is_tight(group),
+            medial_kind=_kind(group.section(1, n - 3)) if n >= 5 else None,
+            facet_flat_pairs=flatness_spectrum(facet)))
     verdict = is_string_c_group(group)
     payload = {
         "order": group.order,
@@ -400,8 +394,10 @@ def chiral_report(group):
         "vertices": faces[0],
         "facets": faces[-1],
         "mixed_cover_flags": cover,
+        "facet_kind": fk,
+        "vf_kind": vk,
         "bound_check": bound_check,
-        "audit_violations": list(structure_constraint_audit(facts)),
+        "audit_violations": violations,
         "c_group": verdict.ok,
     }
     if not verdict.ok:

@@ -27,13 +27,12 @@ from .presentation import parse_presentation, PresentationError, REFLECTION
 from .coset_enum import CosetLimitExceeded, InternalError, DEFAULT_MAX_COSETS
 from .stringc import (build_string_group, SggiViolation,
                       intersection_condition_exhaustive)
-from .analysis import analyze, min_nonflat_flags, flatness_spectrum, is_tight
+from .analysis import analyze, min_nonflat_flags
 from .constructions import (FamilySpec, build_family, table2_witness,
                             CertificateMismatch, AmalgamCollapse,
                             TORUS_FAMILIES, is_regular_torus, expected_order)
 from .chiral import (build_rotation_group, rotation_torus_map, chiral_report,
-                     RotationViolation, chiral_lower_bound, StructureFacts,
-                     structure_constraint_audit)
+                     RotationViolation, chiral_lower_bound)
 from . import corpus
 
 ENV_MAX_COSETS = "POLYFLAG_MAX_COSETS"
@@ -75,7 +74,7 @@ def _reflection_lines(payload):
     return lines
 
 
-def _rotation_lines(payload):
+def _rotation_lines(payload, rank):
     lines = [
         f"rotation group, order {payload['order']}"
         f"  flags {payload['flags']}",
@@ -83,10 +82,10 @@ def _rotation_lines(payload):
         f"vertices {payload['vertices']}  facets {payload['facets']}",
         f"smallest regular cover: {payload['mixed_cover_flags']} flags",
     ]
-    if payload["bound_check"] is not None:
-        b = payload["bound_check"]
+    if (b := payload["bound_check"]) is not None:
         lines.append(
-            f"flag bound for rank: {b['minimum_flags']}"
+            f"flag bound for rank {rank} {payload['facet_kind']}/"
+            f"{payload['vf_kind']}: {b['minimum_flags']}"
             f" <= {b['flags']}: {'ok' if b['ok'] else 'VIOLATED'}")
     lines.extend(_verdict_lines(payload, "string C+-group"))
     if payload["audit_violations"]:
@@ -94,10 +93,18 @@ def _rotation_lines(payload):
     return lines
 
 
+def _build(pres, max_cosets):
+    """A string group or a rotation group, by the presentation's kind."""
+    build = (build_string_group if pres.kind == REFLECTION
+             else build_rotation_group)
+    return build(pres, max_cosets)
+
+
 def _report(group):
+    """The payload and text lines of ``analyze``, for either class."""
     if group.pres.kind != REFLECTION:
         payload = chiral_report(group)
-        return payload, _rotation_lines(payload)
+        return payload, _rotation_lines(payload, group.rank)
     report = analyze(group)
     payload = report.to_json()
     if not report.c_group:
@@ -115,9 +122,7 @@ def _clean(payload):
 
 def cmd_analyze(args):
     pres = parse_presentation(Path(args.file).read_text())
-    build = (build_string_group if pres.kind == REFLECTION
-             else build_rotation_group)
-    payload, lines = _report(build(pres, args.max_cosets))
+    payload, lines = _report(_build(pres, args.max_cosets))
     _emit(args, payload, lines)
     return 0 if _clean(payload) else 1
 
@@ -264,21 +269,28 @@ def _verify_table3(args, results):
               f" {'ok' if not chain_bad else 'FAIL'}")
     for name in corpus.corpus_names():
         pres, expected = corpus.load_entry(name)
-        if expected.get("kind") != "rotation" or not expected["is_chiral"]:
+        if pres.kind == REFLECTION or not lo <= pres.rank <= hi:
             continue
-        if not lo <= pres.rank <= hi:
+        payload, _ = _report(_build(pres, args.max_cosets))
+        check = payload["bound_check"]
+        if check is None:  # a regular rotation group has no chiral bound
             continue
-        group = build_rotation_group(pres, args.max_cosets)
-        bound = chiral_lower_bound(
-            group.rank, expected["facet_kind"], expected["vf_kind"])
-        flags = group.flag_count()
-        ok = flags >= bound.value
+        flags, bound = check["flags"], check["minimum_flags"]
+        ok = check["ok"] and not _sidecar_disagreements(payload, expected)
         failures += not ok
         results.append({"witness": name, "flags": flags,
-                        "bound": bound.value, "ok": ok})
+                        "bound": bound, "ok": ok})
         print(f"table3 witness {name}: {flags} flags"
-              f" >= bound {bound.value} {'ok' if ok else 'FAIL'}")
+              f" >= bound {bound} {'ok' if ok else 'FAIL'}")
     return failures
+
+
+def _sidecar_disagreements(payload, expected):
+    """The verdict and section kinds where the computed report and the
+    corpus sidecar differ; the sidecar is an oracle, never an input."""
+    return [f"sidecar_{key}_disagrees"
+            for key in ("c_group", "facet_kind", "vf_kind")
+            if key in payload and payload[key] != expected[key]]
 
 
 def _verify_props(args, results):
@@ -288,22 +300,14 @@ def _verify_props(args, results):
         pres, expected = corpus.load_entry(name)
         if not lo <= pres.rank <= hi:
             continue
-        if pres.kind == REFLECTION:
-            group = build_string_group(pres, args.max_cosets)
-            report = analyze(group)
-            violations = list(report.audit_violations)
-            if (report.c_group
-                    and not intersection_condition_exhaustive(group).ok):
-                violations.append("exhaustive_oracle_disagrees")
-        else:
-            group = build_rotation_group(pres, args.max_cosets)
-            facts = StructureFacts(
-                rank=group.rank,
-                facet_kind=expected.get("facet_kind"),
-                vf_kind=expected.get("vf_kind"),
-                flat_pairs=flatness_spectrum(group),
-                tight=is_tight(group))
-            violations = list(structure_constraint_audit(facts))
+        group = _build(pres, args.max_cosets)
+        payload, _ = _report(group)
+        violations = payload["audit_violations"]
+        # equal witnesses mean equal verdicts: a failure always has one
+        oracle = intersection_condition_exhaustive(group).witness
+        if payload.get("c_group_witness") != (oracle and oracle.rank_sets()):
+            violations.append("exhaustive_oracle_disagrees")
+        violations += _sidecar_disagreements(payload, expected)
         ok = not violations
         failures += not ok
         results.append({"entry": name, "violations": violations, "ok": ok})

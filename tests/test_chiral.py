@@ -21,9 +21,8 @@ from polyflag.stringc import (dual, intersection_condition_exhaustive,
 from polyflag.chiral import (
     RotationGroup, RotationViolation, build_rotation_group, is_chiral,
     enantiomorph, mix_order, mixed_regular_cover_flags,
-    chiral_lower_bound, weakest_chiral_bound,
-    StructureFacts, structure_constraint_audit, rotation_torus_map,
-    chiral_report, _mirror_word,
+    chiral_lower_bound, StructureFacts, structure_constraint_audit,
+    rotation_torus_map, chiral_report, _mirror_word,
 )
 
 
@@ -394,6 +393,62 @@ def test_338_structure_audit_clean():
         tight=is_tight(group),
         facet_flat_pairs=analyze(coxeter(3, 3)).flat_pairs)
     assert structure_constraint_audit(facts) == []
+    # the report computes the same facts from the group itself
+    assert flatness_spectrum(group.section(0, 1)) == facts.facet_flat_pairs
+    payload = chiral_report(group)
+    assert (payload["facet_kind"], payload["vf_kind"]) == ("regular",
+                                                           "regular")
+    assert payload["audit_violations"] == []
+
+
+def test_338_meets_its_own_profile_bound():
+    # regular facets and vertex-figures: the rank-4 regular/regular bound
+    payload = chiral_report(rot338())
+    assert payload["bound_check"] == {
+        "minimum_flags": 384, "flags": 384, "ok": True}
+
+
+def rotation_amalgam(b, c):
+    """{{4,4}_(b,c),{4,3}}: the rank-4 rotation group with the torus
+    relator x^b y^c on s1, s2 and the cube's symbol on s2, s3."""
+    s1, s2 = Word.gen(0), Word.gen(1)
+    x = s1 * s2.inverse()
+    y = s2.inverse() * x * s2
+    return build_rotation_group(make_presentation(
+        ROTATION, 4, [4, 4, 3], extra_relators=[x ** b * y ** c]))
+
+
+def test_amalgam_with_chiral_facets_gets_its_profile_bound():
+    group = rotation_amalgam(1, 2)
+    payload = chiral_report(group)
+    assert payload["is_chiral"] is True
+    assert (payload["facet_kind"], payload["vf_kind"]) == ("chiral",
+                                                           "regular")
+    assert payload["flags"] == 240
+    assert payload["bound_check"] == {
+        "minimum_flags": 240, "flags": 240, "ok": True}
+    assert payload["audit_violations"] == []
+    assert payload["c_group"] is True
+
+
+def test_regular_amalgam_is_not_audited():
+    # {{4,4}_(2,0),{4,3}} has flat regular facets and regular
+    # vertex-figures; the theorem forbids that only to chiral polytopes
+    group = rotation_amalgam(2, 0)
+    assert group.order == 96
+    assert not is_chiral(group)
+    facet_flats = flatness_spectrum(group.section(0, 1))
+    assert facet_flats == ((0, 2),)
+    facts = StructureFacts(4, "regular", "regular",
+                           flat_pairs=flatness_spectrum(group),
+                           tight=is_tight(group),
+                           facet_flat_pairs=facet_flats)
+    assert structure_constraint_audit(facts) == ["flat_regular_facets"]
+    payload = chiral_report(group)
+    assert (payload["facet_kind"], payload["vf_kind"]) == ("regular",
+                                                           "regular")
+    assert payload["audit_violations"] == []
+    assert payload["bound_check"] is None
 
 
 @pytest.mark.parametrize("rank, fk, vk, value, exact, upper", [
@@ -451,15 +506,6 @@ def test_bound_rejects():
         chiral_lower_bound(3, "chiral", "chiral")
     with pytest.raises(ValueError):
         chiral_lower_bound(4, "mirrored", "regular")
-
-
-def test_weakest_bounds():
-    assert weakest_chiral_bound(3) == 40
-    assert weakest_chiral_bound(4) == 240
-    assert weakest_chiral_bound(5) == 1440
-    assert weakest_chiral_bound(6) == 18432
-    assert weakest_chiral_bound(7) == 55296
-    assert weakest_chiral_bound(8) == 207360
 
 
 def test_audit_flat_regular_facets():
@@ -528,9 +574,12 @@ def test_audit_unknown_sections_skip():
 def test_chiral_report_keys_and_values():
     payload = chiral_report(rotation_torus_map("44", 1, 2))
     assert sorted(payload) == [
-        "audit_violations", "bound_check", "c_group", "facets", "flags",
-        "is_chiral", "mixed_cover_flags", "order", "vertices"]
+        "audit_violations", "bound_check", "c_group", "facet_kind",
+        "facets", "flags", "is_chiral", "mixed_cover_flags", "order",
+        "vertices", "vf_kind"]
     assert payload["c_group"] is True
+    assert (payload["facet_kind"], payload["vf_kind"]) == ("regular",
+                                                           "regular")
     assert payload["is_chiral"] is True
     assert payload["bound_check"] == {
         "minimum_flags": 40, "flags": 40, "ok": True}

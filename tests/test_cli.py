@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from polyflag import cli, coset_enum
+from polyflag import cli, coset_enum, corpus
 from polyflag.cli import main, build_parser, ENV_MAX_COSETS
 from polyflag.corpus import entry_text, load_entry
 
@@ -97,6 +97,35 @@ def test_analyze_rotation_json_schema(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["order"] == 192
     assert payload["bound_check"]["ok"] is True
+    assert payload["bound_check"]["minimum_flags"] == 384
+    assert (payload["facet_kind"], payload["vf_kind"]) == ("regular",
+                                                           "regular")
+
+
+def test_analyze_rotation_names_the_bound_profile(tmp_path, capsys):
+    code, out, _ = run(capsys, "analyze",
+                       corpus_file(tmp_path, "rotation-338"))
+    assert code == 0
+    assert "flag bound for rank 4 regular/regular: 384 <= 384: ok" in out
+
+
+@pytest.mark.parametrize("text", [
+    # rank 2: no sections, and a polygon is never chiral
+    "rank 2\nkind rotation\nschlafli 5\n",
+    # the 5-simplex's rotations: regular, with regular sections
+    "rank 5\nkind rotation\nschlafli 3 3 3 3\n",
+    # {{4,4}_(2,0),{4,3}}: flat regular facets, but not chiral
+    "rank 4\nkind rotation\nschlafli 4 4 3\nrel s1 s2- s1 s2-\n",
+])
+def test_analyze_regular_rotation_groups_exit_0(tmp_path, capsys, text):
+    path = tmp_path / "rotation.txt"
+    path.write_text(text)
+    code, out, _ = run(capsys, "--json", "analyze", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["is_chiral"] is False
+    assert payload["bound_check"] is None
+    assert payload["audit_violations"] == []
 
 
 def test_analyze_missing_file(capsys):
@@ -345,6 +374,41 @@ def test_verify_props_json(capsys):
     payload = json.loads(out[out.find("{"):])
     assert payload["failures"] == 0
     assert len(payload["results"]) == 22
+
+
+def test_verify_props_checks_the_rotation_verdict(tmp_path, capsys,
+                                                  monkeypatch):
+    # {4,4}_(1,1) as a rotation group fails the intersection condition;
+    # a sidecar that claims otherwise must not pass
+    (tmp_path / "rotation-44-1-1.txt").write_text(
+        "rank 3\nkind rotation\nschlafli 4 4\nrel s1 s2- s2- s1\n")
+    (tmp_path / "rotation-44-1-1.json").write_text(json.dumps(
+        {"kind": "rotation", "c_group": True, "facet_kind": "regular",
+         "vf_kind": "regular"}))
+    monkeypatch.setattr(corpus, "_root", lambda: tmp_path)
+    code, out, _ = run(capsys, "--json", "verify", "props")
+    assert code == 1
+    assert ("props rotation-44-1-1: VIOLATIONS sidecar_c_group_disagrees"
+            in out)
+    payload = json.loads(out[out.find("{"):])
+    assert payload["failures"] == 1
+    assert payload["results"] == [{
+        "entry": "rotation-44-1-1",
+        "violations": ["sidecar_c_group_disagrees"], "ok": False}]
+
+
+def test_verify_props_checks_the_rotation_section_kinds(tmp_path, capsys,
+                                                        monkeypatch):
+    (tmp_path / "rotation-44-1-2.txt").write_text(
+        entry_text("rotation-44-1-2"))
+    (tmp_path / "rotation-44-1-2.json").write_text(json.dumps(
+        {"kind": "rotation", "c_group": True, "facet_kind": "chiral",
+         "vf_kind": "regular"}))
+    monkeypatch.setattr(corpus, "_root", lambda: tmp_path)
+    code, out, _ = run(capsys, "verify", "props")
+    assert code == 1
+    assert ("props rotation-44-1-2: VIOLATIONS"
+            " sidecar_facet_kind_disagrees") in out
 
 
 def test_verify_bad_rank_range(capsys):

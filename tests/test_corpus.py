@@ -14,7 +14,7 @@ from polyflag.stringc import (is_string_c_group,
 from polyflag.analysis import (analyze, section_flat_pairs, min_nonflat_flags,
                                f_vector)
 from polyflag.permgroup import brute_force_closure, intersect_subgroups
-from polyflag.chiral import (RotationGroup, is_chiral,
+from polyflag.chiral import (RotationGroup, is_chiral, chiral_report,
                              mixed_regular_cover_flags, chiral_lower_bound)
 
 NAMES = corpus_names()
@@ -254,14 +254,18 @@ def test_rotation_sidecars(name, built_groups):
 
 @pytest.mark.parametrize("name", ROTATION_NAMES)
 def test_section_kinds_match_the_sidecar(name, built_groups):
-    # facet s_1..s_{n-2} and vertex-figure s_2..s_{n-1}, with no presentation
+    # the report classifies the facet s_1..s_{n-2} and the vertex-figure
+    # s_2..s_{n-1}, sections with no presentation
     group = built_groups[name]
     expected = SIDECARS[name]
     n = group.rank
-    kinds = tuple("chiral" if is_chiral(section) else "regular"
-                  for section in (group.section(0, n - 3),
-                                  group.section(1, n - 2)))
+    payload = chiral_report(group)
+    kinds = (payload["facet_kind"], payload["vf_kind"])
     assert kinds == (expected["facet_kind"], expected["vf_kind"])
+    assert kinds == tuple("chiral" if is_chiral(section) else "regular"
+                          for section in (group.section(0, n - 3),
+                                          group.section(1, n - 2)))
+    assert payload["c_group"] is expected["c_group"]
 
 
 @pytest.mark.parametrize(

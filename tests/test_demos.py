@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
-    "chirality_and_bounds": "67ceb24ce5ae9ac3",
+    "chirality_and_bounds": "44d198da5c21a5bc",
     "coset_enumeration_tour": "a60e3f28cd80b5df",
     "flatness_and_tightness": "ffdb2db76d26f913",
     "simplex_extensions_table": "2eb2bd93b5b6aeb5",

@@ -59,6 +59,7 @@ def rotation_entry(name, group, note, facet_kind, vf_kind):
         "vertices": report["vertices"],
         "facets": report["facets"],
         "mixed_cover_flags": report["mixed_cover_flags"],
+        "c_group": report["c_group"],
         "facet_kind": facet_kind,
         "vf_kind": vf_kind,
         "note": note,
