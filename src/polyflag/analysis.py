@@ -54,7 +54,7 @@ class AnalysisReport:
     audit_violations: tuple
 
     def to_json(self):
-        return {
+        out = {
             "rank": self.rank,
             "order": self.order,
             "flag_count": self.flag_count,
@@ -67,6 +67,9 @@ class AnalysisReport:
             "is_degenerate": self.is_degenerate,
             "audit_violations": list(self.audit_violations),
         }
+        if not self.c_group:  # the failing pair, as rank sets
+            out["c_group_witness"] = self.c_group_witness.rank_sets()
+        return out
 
 
 def flag_count(group):

@@ -1,8 +1,9 @@
 """Builders for the concrete polytope families.
 
 Each builder assembles a presentation, enumerates it, and then checks a
-certificate: a closed-form order formula (kept here for the CLI too), an
-attained Schlafli symbol, a vertex count.  A certificate failure raises
+certificate: a closed-form order formula, an attained Schlafli symbol, a
+vertex count.  Each builder is the only place its certificate is checked;
+a group that comes out has passed it.  A certificate failure raises
 CertificateMismatch and always means a bug in the presentation or the
 enumerator, never new mathematics, so the builders double as end-to-end
 tests of the engine.
@@ -39,10 +40,6 @@ class CertificateMismatch(Exception):
 class AmalgamCollapse(Exception):
     """An amalgam's sections shrank: the assembled group does not
     contain the intended facet or vertex-figure group."""
-
-
-# group orders of the NAMED polytopes; the cubes' are 2^n n!
-NAMED_ORDERS = {"hemi-icosahedron": 60, "4-cube": 384, "5-cube": 3840}
 
 
 def simplex_extension_order(periods):
@@ -172,7 +169,7 @@ def hemi_icosahedron(max_cosets=DEFAULT_MAX_COSETS):
     pres = make_presentation(REFLECTION, 3, [3, 5],
                              extra_relators=[w ** 5])
     group = build_string_group(pres, max_cosets)
-    _certify("order", NAMED_ORDERS["hemi-icosahedron"], group.order)
+    _certify("order", 60, group.order)
     return group
 
 
@@ -187,6 +184,10 @@ def universal_amalgam(facet, vertex_figure, max_cosets=DEFAULT_MAX_COSETS):
     comparing the parabolic subgroup orders against the inputs.
     """
     k, l = facet, vertex_figure
+    for name, g in (("facet", k), ("vertex-figure", l)):
+        if g.pres is None:
+            raise ValueError(f"the {name} group is a section, with no "
+                             "presentation to join")
     if k.rank != l.rank:
         raise ValueError(f"rank mismatch: {k.rank} vs {l.rank}")
     if k.rank < 2:
@@ -242,49 +243,6 @@ def simplex_amalgam_check(*periods, max_cosets=DEFAULT_MAX_COSETS):
     return amalgam.order == whole.order
 
 
-NAMED = {
-    "hemi-icosahedron": lambda **kw: hemi_icosahedron(**kw),
-    "4-cube": lambda **kw: coxeter(4, 3, 3, **kw),
-    "5-cube": lambda **kw: coxeter(4, 3, 3, 3, **kw),
-}
-
-
-def table2_witness(rank, which, max_cosets=DEFAULT_MAX_COSETS):
-    """A group attaining the Table-2 flag count, or None where the cell
-    is verified by value only.
-
-    The generic witnesses are the simplex, the single-6 extension, and
-    the double-6 extension (the last sits in column three from rank 5
-    up, but in column four at rank 4).  The sporadic cells get the
-    hemi-icosahedron, the {4,4}_(2,2) torus map, and the 4- and 5-cubes;
-    those identifications match the table values and are checked
-    non-flat, but their minimality ordering is inherited from the table,
-    not re-proved here.
-    """
-    if rank < 3:
-        raise ValueError(f"rank must be at least 3, got {rank}")
-    kw = {"max_cosets": max_cosets}
-    sporadic = {
-        (3, 3): lambda: hemi_icosahedron(**kw),
-        (3, 4): lambda: torus_map("44", 2, 2, **kw),
-        (4, 3): lambda: coxeter(4, 3, 3, **kw),
-        (4, 4): lambda: simplex_extension(6, 6, 3, **kw),
-        (5, 4): lambda: coxeter(4, 3, 3, 3, **kw),
-    }
-    if (rank, which) in sporadic:
-        return sporadic[(rank, which)]()
-    threes = [3] * (rank - 1)
-    if which == 1:
-        return coxeter(*threes, **kw)
-    if which == 2:
-        return simplex_extension(6, *threes[1:], **kw)
-    if which == 3:
-        return simplex_extension(6, 6, *threes[2:], **kw)
-    if which == 4:
-        return None
-    raise ValueError(f"which must be 1..4, got {which}")
-
-
 TORUS_FAMILIES = {"torus44": "44", "torus36": "36", "torus63": "63"}
 
 # parameter count of the families that have a fixed one
@@ -326,22 +284,42 @@ class FamilySpec:
         return out
 
 
-def expected_order(spec):
-    """The closed-form order of a FamilySpec's reflection group, or None
-    for the families without one (amalgam, unknown names) and for an
-    infinite Coxeter group."""
-    fam, params = spec.family, spec.params
-    if fam == "coxeter":
-        return coxeter_order(params)
-    if fam == "lambda":
-        return simplex_extension_order(params)
-    if fam in TORUS_FAMILIES:
-        return torus_order(TORUS_FAMILIES[fam], *params)
-    if fam == "hemi":
-        return NAMED_ORDERS["hemi-icosahedron"]
-    if fam == "named":
-        return NAMED_ORDERS.get(params[0])
-    return None
+NAMED = {
+    "hemi-icosahedron": FamilySpec("hemi"),
+    "4-cube": FamilySpec("coxeter", (4, 3, 3)),
+    "5-cube": FamilySpec("coxeter", (4, 3, 3, 3)),
+}
+
+
+def table2_witness(rank, which, max_cosets=DEFAULT_MAX_COSETS):
+    """A group attaining the Table-2 flag count, or None where the cell
+    is verified by value only.
+
+    The generic witnesses are the simplex, the single-6 extension, and
+    the double-6 extension (the last sits in column three from rank 5
+    up, but in column four at rank 4).  The sporadic cells get the
+    hemi-icosahedron, the {4,4}_(2,2) torus map, and the 4- and 5-cubes;
+    those identifications match the table values and are checked
+    non-flat, but their minimality ordering is inherited from the table,
+    not re-proved here.
+    """
+    if rank < 3:
+        raise ValueError(f"rank must be at least 3, got {rank}")
+    if which not in (1, 2, 3, 4):
+        raise ValueError(f"which must be 1..4, got {which}")
+    sporadic = {
+        (3, 3): NAMED["hemi-icosahedron"],
+        (3, 4): FamilySpec("torus44", (2, 2)),
+        (4, 3): NAMED["4-cube"],
+        (4, 4): FamilySpec("lambda", (6, 6, 3)),
+        (5, 4): NAMED["5-cube"],
+    }
+    threes = (3,) * (rank - 1)
+    generic = {1: FamilySpec("coxeter", threes),
+               2: FamilySpec("lambda", (6, *threes[1:])),
+               3: FamilySpec("lambda", (6, 6, *threes[2:]))}
+    spec = sporadic.get((rank, which)) or generic.get(which)
+    return None if spec is None else build_family(spec, max_cosets)
 
 
 def build_family(spec, max_cosets=DEFAULT_MAX_COSETS):
@@ -366,5 +344,5 @@ def build_family(spec, max_cosets=DEFAULT_MAX_COSETS):
         if name not in NAMED:
             raise ValueError(
                 f"unknown name {name!r}; have {sorted(NAMED)}")
-        return NAMED[name](max_cosets=max_cosets)
+        return build_family(NAMED[name], max_cosets)
     raise ValueError(f"unknown family {fam!r}")

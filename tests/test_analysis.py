@@ -229,6 +229,8 @@ def test_analyze_collapsed_group_skips_audit():
     assert not report.c_group
     assert report.c_group_witness is not None
     assert report.audit_violations == ()
+    # the report's own JSON carries the witness, as rank sets
+    assert report.to_json()["c_group_witness"] == [[0], [2]]
 
 
 def test_analyze_report_json_keys():

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from polyflag import cli, coset_enum, corpus
+from polyflag import chiral, cli, constructions, coset_enum, corpus
 from polyflag.cli import main, build_parser, ENV_MAX_COSETS
 from polyflag.corpus import entry_text, load_entry
 
@@ -326,16 +326,22 @@ def test_construct_bad_parameters_are_errors(capsys, argv, family):
     assert out == ""
 
 
-@pytest.mark.parametrize("argv", [("named", "4-cube"), ("torus44", "1", "2")])
+# the closed form each route's builder certifies against
+_CLOSED_FORMS = {("named", "4-cube"): (constructions, "coxeter_order"),
+                 ("torus44", "1", "2"): (chiral, "torus_order")}
+
+
+@pytest.mark.parametrize("argv", list(_CLOSED_FORMS))
 def test_construct_certificate_mismatch(capsys, monkeypatch, argv):
-    # both routes compare against the closed form; a wrong one must show
-    monkeypatch.setattr(cli, "expected_order", lambda spec: 2 * 3 * 5 * 7)
-    code, out, _ = run(capsys, "construct", *argv)
-    assert code == 1
-    assert "order certificate: expected" in out and "MISMATCH" in out
-    code, out, _ = run(capsys, "--json", "construct", *argv)
-    assert code == 1
-    assert json.loads(out)["certificate"]["ok"] is False
+    # both routes check their closed form in the builder; a wrong one
+    # stops the command before anything is reported
+    module, name = _CLOSED_FORMS[argv]
+    monkeypatch.setattr(module, name, lambda *args: 2 * 3 * 5 * 7)
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, *flags, "construct", *argv)
+        assert code == 1
+        assert err.startswith("error:") and "expected" in err
+        assert out == ""
 
 
 def test_verify_table2(capsys):

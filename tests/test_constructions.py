@@ -6,11 +6,12 @@ import pytest
 
 from polyflag.stringc import is_string_c_group
 from polyflag.analysis import analyze, is_flat, min_nonflat_flags, f_vector
+from polyflag import constructions
 from polyflag.constructions import (
     CertificateMismatch, AmalgamCollapse, coxeter, simplex_extension,
     torus_map, hemi_icosahedron, universal_amalgam, simplex_amalgam_check,
-    table2_witness, FamilySpec, build_family, NAMED, NAMED_ORDERS,
-    expected_order, torus_kind, check_torus_params, is_regular_torus,
+    table2_witness, FamilySpec, build_family, NAMED, torus_kind,
+    check_torus_params, is_regular_torus,
 )
 
 
@@ -170,7 +171,8 @@ def test_table2_witness_rejects():
 
 def test_named_builders():
     assert sorted(NAMED) == ["4-cube", "5-cube", "hemi-icosahedron"]
-    assert NAMED["4-cube"]().order == 384
+    assert build_family(NAMED["4-cube"]).order == 384
+    assert build_family(NAMED["hemi-icosahedron"]).order == 60
 
 
 def test_build_family_dispatch():
@@ -193,17 +195,38 @@ def test_build_family_rejects_unknown():
         build_family(FamilySpec("named", ("6-cube",)))
 
 
-def test_expected_order_closed_forms():
-    assert expected_order(FamilySpec("lambda", (6, 3, 3))) == 240
-    assert expected_order(FamilySpec("torus44", (1, 2))) == 40
-    assert expected_order(FamilySpec("torus36", (2, 1))) == 84
-    assert expected_order(FamilySpec("torus63", (1, 1))) == 36
-    assert expected_order(FamilySpec("hemi")) == 60
-    assert expected_order(FamilySpec("coxeter", (3, 3))) == 24
-    assert expected_order(FamilySpec("named", ("6-cube",))) is None
-    for name, order in NAMED_ORDERS.items():
-        assert expected_order(FamilySpec("named", (name,))) == order
-        assert NAMED[name]().order == order
+@pytest.mark.parametrize("spec, order", [
+    (FamilySpec("coxeter", (3, 3)), 24),
+    (FamilySpec("lambda", (6, 3, 3)), 240),
+    (FamilySpec("torus44", (2, 0)), 32),
+    (FamilySpec("torus36", (1, 1)), 36),
+    (FamilySpec("torus63", (1, 1)), 36),
+    (FamilySpec("hemi"), 60),
+    (FamilySpec("named", ("4-cube",)), 384),
+], ids=lambda v: v.family if isinstance(v, FamilySpec) else None)
+def test_build_family_certifies_order_once(monkeypatch, spec, order):
+    # the builder is the only place the closed form is checked, so every
+    # routed family must pass through exactly one order certificate
+    calls = []
+    certify = constructions._certify
+
+    def spy(label, expected, got):
+        calls.append((label, expected, got))
+        certify(label, expected, got)
+
+    monkeypatch.setattr(constructions, "_certify", spy)
+    assert build_family(spec).order == order
+    assert [c for c in calls if c[0] == "order"] == [("order", order, order)]
+
+
+@pytest.mark.parametrize("which", ["facet", "vertex-figure"])
+def test_universal_amalgam_refuses_sections(which):
+    # a section has no presentation, so there are no relators to join
+    section = coxeter(4, 3, 3).section(0, 1)
+    pair = ((section, coxeter(3)) if which == "facet"
+            else (coxeter(4), section))
+    with pytest.raises(ValueError, match=f"the {which} group is a section"):
+        universal_amalgam(*pair)
 
 
 def test_torus_rules():

@@ -31,8 +31,10 @@ OUT = Path(__file__).resolve().parent.parent / "src" / "polyflag" / "corpus"
 def write(name, pres, expected):
     text = serialize_presentation(pres)
     reparsed = parse_presentation(text)
-    assert Counter(reparsed.relators) == Counter(pres.relators), name
-    assert parse_presentation(serialize_presentation(reparsed)) == reparsed
+    if (Counter(reparsed.relators) != Counter(pres.relators)
+            or parse_presentation(serialize_presentation(reparsed))
+            != reparsed):
+        raise RuntimeError(f"{name}: presentation fails its round trip")
     (OUT / f"{name}.txt").write_text(text)
     (OUT / f"{name}.json").write_text(json.dumps(expected, indent=1) + "\n")
     print(f"{name}: order {expected['order']}")
@@ -124,7 +126,8 @@ def main():
         extra_relators=[Word.gen(0) * Word.gen(2)])
     group = build_string_group(collapsed)
     verdict = is_string_c_group(group)
-    assert not verdict.ok
+    if verdict.ok:
+        raise RuntimeError("p2-collapsed passes the intersection condition")
     write("p2-collapsed", collapsed, {
         "kind": "reflection",
         "rank": 3,
