@@ -4,7 +4,7 @@
 
 from polyflag.presentation import (Word, make_presentation,
                                    parse_presentation, REFLECTION)
-from polyflag.coset_enum import enumerate_cosets, group_order, relators_close
+from polyflag.coset_enum import enumerate_cosets, relators_close
 
 for periods in [(3, 3), (3, 4), (3, 5), (4, 3, 3)]:
     pres = make_presentation(REFLECTION, len(periods) + 1, periods)
@@ -37,7 +37,7 @@ rank 3
 kind reflection
 schlafli 3 4
 """
-print("parsed order:", group_order(parse_presentation(text)))
+print("parsed order:", enumerate_cosets(parse_presentation(text)).num_cosets)
 
 # a deliberately infinite group stopped by the coset limit
 from polyflag.coset_enum import CosetLimitExceeded

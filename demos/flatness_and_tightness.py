@@ -3,7 +3,7 @@
 # flag count hits its floor 2 p1 ... p_{n-1}.  The two meet in the
 # local-flatness characterization, visible already on torus maps.
 
-from polyflag.analysis import analyze, is_flat_km, section_flat_pairs
+from polyflag.analysis import analyze, is_flat_km, flatness_spectrum
 from polyflag.constructions import coxeter, torus_map, universal_amalgam
 
 for b, c in [(2, 0), (2, 2), (3, 0)]:
@@ -31,7 +31,7 @@ print("cube/{3,6}_(1,1) amalgam:", report.order, "elements,",
 print("  flat pairs:", report.flat_pairs, " flat:", report.is_flat)
 
 # flatness passes to sections: the vertex figures inherit (0,2)
-print("  vertex-figure flat pairs:", section_flat_pairs(glued, 1, 3))
+print("  vertex-figure flat pairs:", flatness_spectrum(glued.section(1, 3)))
 print("  (1,3)-flat:", is_flat_km(glued, 1, 3),
       " (0,3)-flat:", is_flat_km(glued, 0, 3))
 

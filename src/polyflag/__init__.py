@@ -12,8 +12,7 @@ from .presentation import (Word, Presentation, PresentationError,
                            parse_presentation, serialize_presentation,
                            coxeter_order)
 from .coset_enum import (CosetTable, CosetLimitExceeded, InternalError,
-                         DEFAULT_MAX_COSETS, enumerate_cosets, group_order,
-                         coset_action)
+                         DEFAULT_MAX_COSETS, enumerate_cosets, coset_action)
 from .permgroup import (Perm, word_image, orbit, build_chain,
                         membership_test, intersect_subgroups)
 from .stringc import (RegularGroup, StringGroup, SggiViolation,
@@ -21,11 +20,10 @@ from .stringc import (RegularGroup, StringGroup, SggiViolation,
                       CGroupVerdict, IntersectionWitness, build_string_group,
                       is_string_c_group, intersection_condition_exhaustive,
                       dual)
-from .analysis import (AnalysisReport, FlagBound, analyze, flag_count,
-                       f_vector, is_flat_km, flatness_spectrum,
-                       section_flat_pairs, is_flat, is_tight, is_degenerate,
-                       covering_exists, audit_counting_propositions,
-                       min_nonflat_flags)
+from .analysis import (AnalysisReport, FlagBound, analyze, f_vector,
+                       is_flat_km, flatness_spectrum, is_flat, is_tight,
+                       is_degenerate, covering_exists,
+                       audit_counting_propositions, min_nonflat_flags)
 from .constructions import (CertificateMismatch, AmalgamCollapse,
                             FamilySpec, coxeter, simplex_extension,
                             torus_map, hemi_icosahedron, universal_amalgam,

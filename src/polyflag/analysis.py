@@ -72,12 +72,6 @@ class AnalysisReport:
         return out
 
 
-def flag_count(group):
-    """Flags of the polytope: the group's order for a string group, which
-    acts freely transitively on them, twice that for a rotation group."""
-    return group.flag_count()
-
-
 def f_vector(group):
     """Face counts by rank: entry i is the index of the stabilizer of the
     base i-face."""
@@ -99,12 +93,6 @@ def flatness_spectrum(group):
     n = group.rank
     return tuple((k, m) for k in range(n - 1) for m in range(k + 1, n)
                  if is_flat_km(group, k, m))
-
-
-def section_flat_pairs(group, lo, hi):
-    """Flat pairs of the section polytope on generators lo..hi,
-    with indices relative to the section."""
-    return flatness_spectrum(group.section(lo, hi))
 
 
 def is_flat(group):
@@ -181,7 +169,7 @@ def analyze(group):
     report = AnalysisReport(
         rank=group.rank,
         order=group.order,
-        flag_count=flag_count(group),
+        flag_count=group.flag_count(),
         schlafli=group.schlafli_symbol(),
         f_vector=f_vector(group),
         c_group=verdict.ok,

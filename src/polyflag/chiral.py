@@ -45,13 +45,14 @@ import math
 from dataclasses import dataclass
 
 from .presentation import Word, Presentation, ROTATION, make_presentation
-from .coset_enum import (enumerate_cosets, coset_action, pair_orbit_table,
-                         DEFAULT_MAX_COSETS)
+from .coset_enum import enumerate_cosets, pair_orbit_table, DEFAULT_MAX_COSETS
 from .stringc import RegularGroup, dual, is_string_c_group
 from .analysis import FlagBound, f_vector, flatness_spectrum, is_tight
 from .constructions import torus_kind, check_torus_params, torus_order
 from .permgroup import orbit, word_image
-# unused here, but the benchmark's tracer installs a span at chiral.build_chain
+# unused here, but the benchmark's tracer installs spans at
+# chiral.coset_action and chiral.build_chain
+from .coset_enum import coset_action  # noqa: F401
 from .permgroup import build_chain  # noqa: F401
 
 
@@ -80,60 +81,48 @@ class RotationGroup(RegularGroup):
         return self.word_orbit(Word(tuple((j, 1) for j in range(a, b)))
                                for a, b in zip(ranks, ranks[1:]))
 
+    def check_shape(self):
+        """Raise RotationViolation naming the failed relation unless
+        every (s_i s_{i+1} ... s_j)^2 with i < j holds in the image and
+        any declared periods are attained."""
+        gens = self.gens
+        m = self.pres.num_generators
+        for i, p in enumerate(self.pres.declared_schlafli or ()):
+            # the action is regular: the cycle through 0 has the order
+            if p is not None and (k := len(orbit([gens[i]], 0))) != p:
+                raise RotationViolation(
+                    f"s{i + 1} has order {k}, declared {p}")
+        for i in range(m):
+            prod = gens[i]
+            for j in range(i + 1, m):
+                prod = prod * gens[j]
+                if not (prod * prod).is_identity():
+                    raise RotationViolation(
+                        f"(s{i + 1}...s{j + 1})^2 is not the identity")
+
 
 def build_rotation_group(pres, max_cosets=DEFAULT_MAX_COSETS):
-    """Enumerate a rotation presentation and validate its shape.
-
-    Shape means: every (s_i s_{i+1} ... s_j)^2 with i < j holds in the
-    image, and any declared periods are attained.  Violations raise
-    RotationViolation naming the failed relation.
-    """
+    """Enumerate a rotation presentation and validate its shape
+    (RotationGroup.check_shape)."""
     if pres.kind != ROTATION:
         raise ValueError("rotation groups are built from rotation "
                          "presentations")
-    return _shaped_group(pres, enumerate_cosets(pres, (), max_cosets),
-                         max_cosets)
+    return RotationGroup.from_table(pres,
+                                    enumerate_cosets(pres, (), max_cosets))
 
 
-def _shaped_group(pres, table, max_cosets):
-    """The rotation group on a regular action table, once its shape
-    holds; see build_rotation_group."""
-    gens = coset_action(table)
-    m = pres.num_generators
-    for i, p in enumerate(pres.declared_schlafli or ()):
-        # the action is regular: the cycle through 0 has the order
-        if p is not None and (k := len(orbit([gens[i]], 0))) != p:
-            raise RotationViolation(f"s{i + 1} has order {k}, declared {p}")
-    for i in range(m):
-        prod = gens[i]
-        for j in range(i + 1, m):
-            prod = prod * gens[j]
-            if not (prod * prod).is_identity():
-                raise RotationViolation(
-                    f"(s{i + 1}...s{j + 1})^2 is not the identity")
-    return RotationGroup(pres, table, gens, max_cosets)
-
-
-def _mirror_word(w):
-    out = []
-    for g, e in w.letters:
-        if g == 0:
-            out.append((0, -e))
-        elif g == 1:
-            if e == 1:
-                out.extend(((0, 1), (0, 1), (1, 1)))
-            else:
-                out.extend(((1, -1), (0, -1), (0, -1)))
-        else:
-            out.append((g, e))
-    return Word(tuple(out))
+def _mirror(m):
+    """The mirror substitution as the images of s_1..s_m (just s_1 when
+    m is 1)."""
+    s1 = Word.gen(0)
+    return [s1.inverse(), s1 * s1 * Word.gen(1),
+            *map(Word.gen, range(2, m))][:m]
 
 
 def _mirror_images(group):
     """Candidate images of the generators under conjugation by the
     missing mirror: the mirror substitution, evaluated."""
-    return [word_image(group.gens, _mirror_word(Word.gen(i)))
-            for i in range(len(group.gens))]
+    return [word_image(group.gens, w) for w in _mirror(len(group.gens))]
 
 
 def is_chiral(group):
@@ -150,20 +139,20 @@ def is_chiral(group):
     return mixed_regular_cover_flags(group) != group.flag_count()
 
 
-def enantiomorph(group):
+def enantiomorph(group, max_cosets=DEFAULT_MAX_COSETS):
     """The mirror-image rotation group, built from the substituted
     presentation.  Isomorphic to the original as an abstract group; the
     polytopes differ exactly when the group is chiral."""
     if group.pres is None:
         raise ValueError("a section has no presentation to mirror")
-    mirrored = tuple(_mirror_word(w) for w in group.pres.relators)
+    images = _mirror(group.pres.num_generators)
     pres = Presentation(
         num_generators=group.pres.num_generators,
         kind=ROTATION,
-        relators=mirrored,
+        relators=tuple(w.substitute(images) for w in group.pres.relators),
         declared_schlafli=group.pres.declared_schlafli,
     )
-    out = build_rotation_group(pres, group.max_cosets)
+    out = build_rotation_group(pres, max_cosets)
     if out.order != group.order:
         raise RotationViolation("mirror image changed the group order")
     return out
@@ -347,7 +336,7 @@ def rotation_torus_map(kind, b, c, max_cosets=DEFAULT_MAX_COSETS):
                              extra_relators=[x ** b * y ** c])
     table = pair_orbit_table(pres, 1, s1, max_cosets)
     group = (build_rotation_group(pres, max_cosets) if table is None
-             else _shaped_group(pres, table, max_cosets))
+             else RotationGroup.from_table(pres, table))
     expected = torus_order(kind, b, c) // 2
     if group.order != expected:
         raise RotationViolation(

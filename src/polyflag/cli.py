@@ -10,8 +10,8 @@ rotation group fails the intersection condition, audit violations,
 certificate mismatch, amalgam collapse) or bad arguments, and 1 with an
 ``internal error:`` message when a result fails one of the library's own
 runtime proofs; 2 when the coset limit is hit or a bare Coxeter symbol's
-closed-form order is infinite or over it; 3 when the input file does not
-parse.
+closed-form order is infinite or over it; 3 when the input does not parse
+or would expand past the presentation module's size bounds.
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from .presentation import (Word, Presentation, REFLECTION, make_presentation,
                            coxeter_order)
 from .coset_enum import DEFAULT_MAX_COSETS
-from .stringc import build_string_group, dual, is_string_c_group
+from .stringc import (StringGroup, build_string_group, dual,
+                      is_string_c_group)
 
 
 class CertificateMismatch(Exception):
@@ -174,7 +175,7 @@ def hemi_icosahedron(max_cosets=DEFAULT_MAX_COSETS):
 
 
 def universal_amalgam(facet, vertex_figure, max_cosets=DEFAULT_MAX_COSETS):
-    """Largest polytope with the given facet and vertex-figure groups.
+    """Largest polytope with the given facet and vertex-figure string groups.
 
     The presentation is the union of the facet's relators on r0..r_{n-2}
     and the vertex-figure's shifted to r1..r_{n-1}, plus the one string
@@ -185,6 +186,9 @@ def universal_amalgam(facet, vertex_figure, max_cosets=DEFAULT_MAX_COSETS):
     """
     k, l = facet, vertex_figure
     for name, g in (("facet", k), ("vertex-figure", l)):
+        if not isinstance(g, StringGroup):
+            raise ValueError(f"the {name} group is a {type(g).__name__};"
+                             " only string groups are joined")
         if g.pres is None:
             raise ValueError(f"the {name} group is a section, with no "
                              "presentation to join")
@@ -197,9 +201,8 @@ def universal_amalgam(facet, vertex_figure, max_cosets=DEFAULT_MAX_COSETS):
             f"symbol overlap mismatch: {k.schlafli_symbol()} cannot share "
             f"a section with {l.schlafli_symbol()}")
     n = k.rank + 1
-    shift = tuple(
-        Word(tuple((g + 1, e) for g, e in w.letters))
-        for w in l.pres.relators)
+    up = [Word.gen(g + 1) for g in range(n - 1)]
+    shift = tuple(w.substitute(up) for w in l.pres.relators)
     # both windows carry the shared scaffold; keep first occurrences only.
     # the one string relation neither window sees is (r0 r_{n-1})^2.
     relators = list(k.pres.relators)

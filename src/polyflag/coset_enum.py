@@ -118,13 +118,6 @@ class CosetTable:
             coset = self.action[coset][col]
         return coset
 
-    def to_json(self):
-        return {
-            "num_cosets": self.num_cosets,
-            "columns": 2 * self.num_generators,
-            "action": [list(row) for row in self.action],
-        }
-
 
 class _Enumerator:
     def __init__(self, ncols, relators, max_cosets):
@@ -491,12 +484,6 @@ def _check_table(table, relators, subgroup_cols):
     fault = _table_fault(table, relators, subgroup_cols)
     if fault is not None:
         raise InternalError(fault)
-
-
-def group_order(pres, max_cosets=DEFAULT_MAX_COSETS):
-    """Order of the presented group, by enumerating over the trivial
-    subgroup."""
-    return enumerate_cosets(pres, (), max_cosets).num_cosets
 
 
 def coset_action(table):

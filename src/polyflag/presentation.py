@@ -21,9 +21,20 @@ from collections import Counter
 REFLECTION = "reflection"
 ROTATION = "rotation"
 
+# Input bounds, checked before anything is expanded, so that a few bytes
+# of input cannot ask for gigabytes: letters in one product or power of
+# words, and generators in one presentation.
+MAX_WORD_LETTERS = 1_000_000
+MAX_GENERATORS = 64
+
 
 class PresentationError(Exception):
     """Raised for malformed words or presentation files."""
+
+
+def _check_size(count, limit=MAX_WORD_LETTERS, what="letters in a word"):
+    if count > limit:
+        raise PresentationError(f"{count} {what} exceed the limit of {limit}")
 
 
 def free_reduce(letters):
@@ -51,15 +62,25 @@ class Word:
         return Word(((i, 1),))
 
     def __mul__(self, other):
+        _check_size(len(self) + len(other))
         return Word(self.letters + other.letters)
 
     def inverse(self):
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __pow__(self, k):
+        _check_size(len(self) * abs(k))
         if k < 0:
             return self.inverse() ** (-k)
         return Word(self.letters * k)
+
+    def substitute(self, images):
+        """The image under the free-group homomorphism sending generator
+        g to the word images[g], freely reduced."""
+        out = []
+        for g, e in self.letters:
+            out.extend((images[g] if e > 0 else images[g].inverse()).letters)
+        return Word(tuple(out))
 
     def __len__(self):
         return len(self.letters)
@@ -107,6 +128,7 @@ class Presentation:
             raise PresentationError(f"unknown kind {self.kind!r}")
         if self.num_generators < 1:
             raise PresentationError("need at least one generator")
+        _check_size(self.num_generators, MAX_GENERATORS, "generators")
         for w in self.relators:
             if not w:
                 raise PresentationError("relator reduces to the empty word")
@@ -117,11 +139,6 @@ class Presentation:
     @property
     def rank(self):
         return self.num_generators + (1 if self.kind == ROTATION else 0)
-
-    def generator_names(self):
-        if self.kind == REFLECTION:
-            return [f"r{i}" for i in range(self.num_generators)]
-        return [f"s{i + 1}" for i in range(self.num_generators)]
 
 
 def coxeter_relators(rank, schlafli):
@@ -222,6 +239,7 @@ def make_presentation(kind, rank, schlafli=None, extra_relators=(),
     ngens = rank if kind == REFLECTION else rank - 1
     if ngens < 1:
         raise PresentationError("rank too small for this kind")
+    _check_size(ngens, MAX_GENERATORS, "generators")
     if schlafli is not None:
         if len(schlafli) != rank - 1:
             raise PresentationError(

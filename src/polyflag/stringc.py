@@ -82,20 +82,29 @@ class RegularGroup:
     set is computed once and cached.  Subclasses say what the rank is,
     which elements the rotations are, how many flags there are and which
     words generate the subgroup of a set I of ranks (``parabolic_orbit``:
-    the reflections r_i, or the rotations r_a r_b, for i, a, b in I).
-    The stabilizer of the base i-face is the subgroup of every rank
-    but i, for both classes.
+    the reflections r_i, or the rotations r_a r_b, for i, a, b in I)
+    and what shape the generators must have (``check_shape``).  The
+    stabilizer of the base i-face is the subgroup of every rank but i,
+    for both classes.
     """
 
-    def __init__(self, pres, table, gens, max_cosets=DEFAULT_MAX_COSETS):
+    def __init__(self, pres, table, gens):
         self.pres = pres
         self.table = table
         self.gens = gens
         self.order = (len(orbit(gens, 0)) if table is None
                       else table.num_cosets)
-        self.max_cosets = max_cosets
         self._orbits = {}
         self._schlafli = None
+
+    @classmethod
+    def from_table(cls, pres, table):
+        """The group of a proved regular action table: its generators'
+        action, once the class's shape check (``check_shape``) passes.
+        Every builder returns through here."""
+        group = cls(pres, table, coset_action(table))
+        group.check_shape()
+        return group
 
     def word_orbit(self, words):
         """Element set of the subgroup generated by the given words."""
@@ -113,7 +122,7 @@ class RegularGroup:
         if not 0 <= lo <= hi < len(self.gens):
             raise ValueError(f"need 0 <= lo <= hi < {len(self.gens)}, "
                              f"got ({lo}, {hi})")
-        return type(self)(None, None, self.gens[lo:hi + 1], self.max_cosets)
+        return type(self)(None, None, self.gens[lo:hi + 1])
 
     def schlafli_symbol(self):
         """Orders of the rotations, computed once per group: the action
@@ -150,16 +159,32 @@ class StringGroup(RegularGroup):
         """Element set of the subgroup those generators produce."""
         return self.word_orbit(Word.gen(i) for i in subset)
 
+    def check_shape(self):
+        """Raise SggiViolation naming the first failed condition: a
+        generator collapsing or losing its involution, or a distant pair
+        failing to commute."""
+        gens = self.gens
+        n = self.pres.num_generators
+        for i, g in enumerate(gens):
+            if g.is_identity():
+                raise SggiViolation(
+                    f"generator r{i} collapses to the identity")
+            if not (g * g).is_identity():
+                raise SggiViolation(f"generator r{i} is not an involution")
+        for i in range(n):
+            for j in range(i + 2, n):
+                if not (gens[i] * gens[j] * gens[i] * gens[j]).is_identity():
+                    raise SggiViolation(
+                        f"generators r{i} and r{j} do not commute")
+
 
 def build_string_group(pres, max_cosets=DEFAULT_MAX_COSETS):
-    """Enumerate the group and check it really is a string group.
-
-    Raises SggiViolation naming the first failed condition: a generator
-    collapsing or losing its involution, or a distant pair failing to
-    commute.  A bare Coxeter presentation (the declared symbol's relators
-    and nothing else) whose closed-form order is infinite or over
-    ``max_cosets`` raises CoxeterLimitExceeded at once: enumerating it
-    could only end at the limit.
+    """Enumerate the group and check it really is a string group
+    (StringGroup.check_shape raises SggiViolation if not).  A bare
+    Coxeter presentation (the declared symbol's relators and nothing
+    else) whose closed-form order is infinite or over ``max_cosets``
+    raises CoxeterLimitExceeded at once: enumerating it could only end
+    at the limit.
     """
     if pres.kind != REFLECTION:
         raise ValueError("string groups are built from reflection "
@@ -171,19 +196,7 @@ def build_string_group(pres, max_cosets=DEFAULT_MAX_COSETS):
                 and pres.relators == tuple(coxeter_relators(pres.rank, sym))):
             raise CoxeterLimitExceeded(sym, order, max_cosets)
     table = enumerate_cosets(pres, (), max_cosets)
-    gens = coset_action(table)
-    n = pres.num_generators
-    for i, g in enumerate(gens):
-        if g.is_identity():
-            raise SggiViolation(f"generator r{i} collapses to the identity")
-        if not (g * g).is_identity():
-            raise SggiViolation(f"generator r{i} is not an involution")
-    for i in range(n):
-        for j in range(i + 2, n):
-            if not (gens[i] * gens[j] * gens[i] * gens[j]).is_identity():
-                raise SggiViolation(
-                    f"generators r{i} and r{j} do not commute")
-    return StringGroup(pres, table, gens, max_cosets)
+    return StringGroup.from_table(pres, table)
 
 
 def dual(group):
@@ -198,19 +211,18 @@ def dual(group):
     """
     gens = [g.inverse() for g in reversed(group.gens)]
     if group.pres is None:
-        return type(group)(None, None, gens, group.max_cosets)
+        return type(group)(None, None, gens)
     pres, n = group.pres, group.pres.num_generators
     sym = pres.declared_schlafli
-    relators = tuple(
-        Word(tuple((n - 1 - g, e) for g, e in reversed(w.letters)))
-        for w in pres.relators)
+    relabel = [Word.gen(n - 1 - g).inverse() for g in range(n)]
+    relators = tuple(w.substitute(relabel).inverse() for w in pres.relators)
     new_pres = replace(pres, relators=relators,
                        declared_schlafli=sym and tuple(reversed(sym)))
     table = replace(group.table,
                     action=tuple(row[::-1] for row in group.table.action))
     if not relators_close(new_pres, table):
         raise InternalError("dual table does not satisfy the dual relators")
-    return type(group)(new_pres, table, gens, group.max_cosets)
+    return type(group)(new_pres, table, gens)
 
 
 def _witness_scan(group):

@@ -8,10 +8,9 @@ import pytest
 from polyflag.presentation import Word, make_presentation, REFLECTION
 from polyflag.stringc import build_string_group, dual
 from polyflag.analysis import (
-    AnalysisReport, analyze, flag_count, f_vector, is_flat_km,
-    flatness_spectrum, section_flat_pairs, is_flat, is_tight,
-    is_degenerate, covering_exists, audit_counting_propositions,
-    min_nonflat_flags,
+    AnalysisReport, analyze, f_vector, is_flat_km, flatness_spectrum,
+    is_flat, is_tight, is_degenerate, covering_exists,
+    audit_counting_propositions, min_nonflat_flags,
 )
 from polyflag.constructions import coxeter, torus_map, simplex_extension
 from polyflag.chiral import rotation_torus_map
@@ -25,7 +24,7 @@ def test_simplex_f_vector_against_combinatorics():
             sum(1 for _ in combinations(range(n + 1), i + 1))
             for i in range(n))
         assert f_vector(group) == counts
-        assert flag_count(group) == math.factorial(n + 1)
+        assert group.flag_count() == math.factorial(n + 1)
 
 
 def test_cube_f_vector():
@@ -35,7 +34,7 @@ def test_cube_f_vector():
 
 def test_flag_count_is_group_order():
     group = coxeter(3, 4)
-    assert flag_count(group) == group.order == 48
+    assert group.flag_count() == group.order == 48
 
 
 def test_simplex_has_no_flat_pairs():
@@ -92,7 +91,7 @@ def test_regular_torus_string_and_rotation_groups_agree(kind, b, c):
 def test_section_flat_pairs_match_section_analysis():
     from polyflag.constructions import universal_amalgam
     amal = universal_amalgam(coxeter(4, 3), torus_map("36", 1, 1))
-    facet_pairs = section_flat_pairs(amal, 0, amal.rank - 2)
+    facet_pairs = flatness_spectrum(amal.section(0, amal.rank - 2))
     assert facet_pairs == flatness_spectrum(coxeter(4, 3))
 
 

@@ -22,7 +22,7 @@ from polyflag.chiral import (
     RotationGroup, RotationViolation, build_rotation_group, is_chiral,
     enantiomorph, mix_order, mixed_regular_cover_flags,
     chiral_lower_bound, StructureFacts, structure_constraint_audit,
-    rotation_torus_map, chiral_report, _mirror_word,
+    rotation_torus_map, chiral_report, _mirror,
 )
 
 
@@ -131,7 +131,58 @@ letters = st.lists(
 @given(letters)
 def test_mirror_substitution_is_involution(ls):
     w = Word(tuple(ls))
-    assert _mirror_word(_mirror_word(w)) == w
+    assert w.substitute(_mirror(4)).substitute(_mirror(4)) == w
+
+
+@given(letters, letters, st.lists(letters, min_size=4, max_size=4))
+def test_substitute_is_a_free_group_homomorphism(u, v, images):
+    u, v = Word(tuple(u)), Word(tuple(v))
+    images = [Word(tuple(ls)) for ls in images]
+    assert [Word.gen(g).substitute(images) for g in range(4)] == images
+    assert (u * v).substitute(images) == \
+        u.substitute(images) * v.substitute(images)
+    assert u.inverse().substitute(images) == u.substitute(images).inverse()
+
+
+def reference_mirror_word(w):
+    """The mirror substitution written out letter by letter: an
+    independent reference for Word.substitute."""
+    out = []
+    for g, e in w.letters:
+        if g == 0:
+            out.append((0, -e))
+        elif g == 1:
+            if e == 1:
+                out.extend(((0, 1), (0, 1), (1, 1)))
+            else:
+                out.extend(((1, -1), (0, -1), (0, -1)))
+        else:
+            out.append((g, e))
+    return Word(tuple(out))
+
+
+@given(letters)
+def test_mirror_substitution_matches_the_letter_loop(ls):
+    w = Word(tuple(ls))
+    assert w.substitute(_mirror(4)) == reference_mirror_word(w)
+
+
+def test_enantiomorph_relators_match_the_letter_loop(built_groups):
+    groups = [g for g in built_groups.values()
+              if isinstance(g, RotationGroup)]
+    assert len(groups) == 3
+    groups += [rotation_torus_map(kind, b, c) for kind in ("44", "36")
+               for b in range(7) for c in range(7) if (b, c) != (0, 0)]
+    for group in groups:
+        mirrored = tuple(map(reference_mirror_word, group.pres.relators))
+        assert [w.letters for w in enantiomorph(group).pres.relators] == \
+            [w.letters for w in mirrored]
+
+
+def test_enantiomorph_takes_the_coset_cap():
+    with pytest.raises(CosetLimitExceeded) as info:
+        enantiomorph(rotation_torus_map("44", 1, 2), max_cosets=10)
+    assert info.value.max_cosets == 10
 
 
 def test_enantiomorph_preserves_order_and_chirality():
@@ -633,6 +684,17 @@ def test_only_degenerate_tori_fall_back(kind, monkeypatch):
             if fell_back:
                 degenerate.add((b, c))
     assert degenerate == _DEGENERATE_TORI
+
+
+@pytest.mark.parametrize("b, c", [(1, 2), (2, 0)])
+def test_shape_check_stops_both_torus_routes(b, c, monkeypatch):
+    # (1,2) takes the vertex-pair route, (2,0) falls back to enumeration
+    def refuse(group):
+        raise RotationViolation("shape refused")
+
+    monkeypatch.setattr(RotationGroup, "check_shape", refuse)
+    with pytest.raises(RotationViolation, match="shape refused"):
+        rotation_torus_map("44", b, c)
 
 
 def test_torus_orbit_over_the_cap_raises():

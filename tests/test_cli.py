@@ -174,6 +174,38 @@ def test_analyze_infinite_coxeter_fails_fast(tmp_path, capsys):
                           " is infinite")
 
 
+@pytest.mark.parametrize("text", [
+    "rank 3\nkind reflection\nrel r0^1000000000\n",
+    "rank 3\nkind reflection\nrel " + "r0^1000000 " * 5 + "\n",
+    "rank 3\nkind reflection\nschlafli 3 1000000000\n",
+    "rank 100000000\nkind reflection\n",
+    "rank 100000000\nkind reflection\ncentral r0\n",
+])
+def test_analyze_oversized_input_exits_3_fast(tmp_path, capsys, text):
+    # a few bytes asking for a billion letters or 10^8 generators are
+    # refused before anything is expanded
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("parse error:") and "exceed the limit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("coxeter", "3", "1000000000"),
+    ("torus44", "1000000000", "0"),
+    ("torus44", "1000000000", "1"),
+])
+def test_construct_oversized_parameters_exit_3_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("parse error:") and "exceed the limit" in err
+
+
 def test_analyze_coxeter_over_cap_names_its_order(tmp_path, capsys):
     path = coxeter_file(tmp_path, 3, 3, 5)
     code, _, err = run(capsys, "--max-cosets", "1000", "analyze", path)

@@ -4,9 +4,12 @@ import math
 
 import pytest
 
+from polyflag.presentation import Word
 from polyflag.stringc import is_string_c_group
 from polyflag.analysis import analyze, is_flat, min_nonflat_flags, f_vector
-from polyflag import constructions
+from polyflag.corpus import load_entry
+from polyflag.chiral import rotation_torus_map
+from polyflag import constructions, stringc
 from polyflag.constructions import (
     CertificateMismatch, AmalgamCollapse, coxeter, simplex_extension,
     torus_map, hemi_icosahedron, universal_amalgam, simplex_amalgam_check,
@@ -227,6 +230,51 @@ def test_universal_amalgam_refuses_sections(which):
             else (coxeter(4), section))
     with pytest.raises(ValueError, match=f"the {which} group is a section"):
         universal_amalgam(*pair)
+
+
+@pytest.mark.parametrize("facet, vertex_figure", [
+    ("rotation", "rotation"), ("rotation", "string"), ("string", "rotation"),
+])
+def test_universal_amalgam_refuses_rotation_groups(facet, vertex_figure,
+                                                   monkeypatch):
+    # a rotation group's relators are in s_i, not in reflections to join
+    groups = {"rotation": rotation_torus_map("44", 1, 2),
+              "string": torus_map("44", 2, 0)}
+    pair = groups[facet], groups[vertex_figure]
+
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated a refused amalgam")
+
+    monkeypatch.setattr(stringc, "enumerate_cosets", enumerate_nothing)
+    which = "facet" if facet == "rotation" else "vertex-figure"
+    with pytest.raises(ValueError,
+                       match=f"the {which} group is a RotationGroup"):
+        universal_amalgam(*pair, max_cosets=20000)
+
+
+def reference_amalgam_relators(k, l):
+    """The amalgam's relators, the vertex-figure's shifted letter by
+    letter: an independent reference for Word.substitute."""
+    n = k.rank + 1
+    shift = tuple(Word(tuple((g + 1, e) for g, e in w.letters))
+                  for w in l.pres.relators)
+    relators = list(k.pres.relators)
+    seen = {w.letters for w in relators}
+    for w in shift + ((Word.gen(0) * Word.gen(n - 1)) ** 2,):
+        if w.letters not in seen:
+            seen.add(w.letters)
+            relators.append(w)
+    return relators
+
+
+def test_amalgam_relators_match_the_letter_loop():
+    k, l = coxeter(4, 3), torus_map("36", 1, 1)
+    pres = universal_amalgam(k, l).pres
+    want = [w.letters for w in reference_amalgam_relators(k, l)]
+    assert [w.letters for w in pres.relators] == want
+    # the corpus entry holds the same relators, in its own order
+    corpus = load_entry("amalgam-43-36")[0]
+    assert sorted(want) == sorted(w.letters for w in corpus.relators)
 
 
 def test_torus_rules():

@@ -11,7 +11,7 @@ from polyflag.presentation import (Word, parse_presentation,
 from polyflag.corpus import corpus_names, load_entry, entry_text
 from polyflag.stringc import (is_string_c_group,
                               intersection_condition_exhaustive, dual)
-from polyflag.analysis import (analyze, section_flat_pairs, min_nonflat_flags,
+from polyflag.analysis import (analyze, flatness_spectrum, min_nonflat_flags,
                                f_vector)
 from polyflag.permgroup import brute_force_closure, intersect_subgroups
 from polyflag.chiral import (RotationGroup, is_chiral, chiral_report,
@@ -174,8 +174,8 @@ def test_flatness_transfers_to_sections(name, built_groups,
     n = report.rank
     if n < 3:
         pytest.skip("no proper sections below rank 3")
-    facet_pairs = section_flat_pairs(group, 0, n - 2)
-    vf_pairs = section_flat_pairs(group, 1, n - 1)
+    facet_pairs = flatness_spectrum(group.section(0, n - 2))
+    vf_pairs = flatness_spectrum(group.section(1, n - 1))
     for k, m in report.flat_pairs:
         if m <= n - 2:
             assert (k, m) in facet_pairs

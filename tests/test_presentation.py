@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polyflag.coset_enum import group_order
+from polyflag.coset_enum import enumerate_cosets
 from polyflag.presentation import (
     Word, EMPTY, commutator, Presentation, PresentationError,
     REFLECTION, ROTATION, coxeter_relators, coxeter_order, rotation_relators,
     make_presentation, parse_word, parse_presentation,
-    serialize_presentation,
+    serialize_presentation, MAX_WORD_LETTERS, MAX_GENERATORS,
 )
 
 SWEEP_EXPECTED = (Path(__file__).resolve().parent.parent / "perfbench"
@@ -128,7 +128,8 @@ def test_coxeter_order_matches_enumeration():
     assert len(small) == 190
     for sym in small:
         pres = make_presentation(REFLECTION, len(sym) + 1, list(sym))
-        assert group_order(pres, max_cosets=2000) == coxeter_order(sym), sym
+        order = enumerate_cosets(pres, (), 2000).num_cosets
+        assert order == coxeter_order(sym), sym
 
 
 def test_coxeter_order_matches_sweep_expected():
@@ -165,14 +166,39 @@ def test_make_presentation_validates():
     pres = make_presentation(REFLECTION, 3, [4, 3])
     assert pres.rank == 3
     assert pres.num_generators == 3
-    assert pres.generator_names() == ["r0", "r1", "r2"]
+
+
+def test_words_over_the_letter_limit_are_refused():
+    for k in (MAX_WORD_LETTERS + 1, -MAX_WORD_LETTERS - 1, 10 ** 9):
+        with pytest.raises(PresentationError, match="exceed the limit"):
+            Word.gen(0) ** k
+    with pytest.raises(PresentationError, match="exceed the limit"):
+        (Word.gen(0) * Word.gen(1)) ** (MAX_WORD_LETTERS // 2 + 1)
+    assert len((Word.gen(0) * Word.gen(1)) ** -500) == 1000
+    # a product is bounded as a power is: a line of factors that each
+    # stay under the limit cannot add up past it
+    half = Word.gen(0) ** (MAX_WORD_LETTERS // 2 + 1)
+    with pytest.raises(PresentationError, match="exceed the limit"):
+        half * half
+
+
+def test_generator_count_limit():
+    assert Presentation(MAX_GENERATORS, REFLECTION).rank == MAX_GENERATORS
+    assert make_presentation(ROTATION, MAX_GENERATORS + 1).num_generators \
+        == MAX_GENERATORS
+    with pytest.raises(PresentationError, match="exceed the limit"):
+        Presentation(MAX_GENERATORS + 1, ROTATION)
+    with pytest.raises(PresentationError, match="exceed the limit"):
+        make_presentation(ROTATION, MAX_GENERATORS + 2)
+    # refused before the 10^8 commutators of a central word are expanded
+    with pytest.raises(PresentationError, match="exceed the limit"):
+        make_presentation(REFLECTION, 10 ** 8, central_words=[Word.gen(0)])
 
 
 def test_rotation_rank_offset():
     pres = make_presentation(ROTATION, 4, [3, 3, 8])
     assert pres.num_generators == 3
     assert pres.rank == 4
-    assert pres.generator_names() == ["s1", "s2", "s3"]
 
 
 def test_central_words_filtered_when_trivial():

@@ -170,10 +170,33 @@ def test_dual_reverses_symbol():
 
 @pytest.mark.parametrize("kind, build", [(REFLECTION, build_string_group),
                                          (ROTATION, build_rotation_group)])
-def test_dual_keeps_coset_cap(kind, build):
+def test_dual_keeps_coset_cap(kind, build, monkeypatch):
+    # a group holds its action, not the cap it was built under: the dual
+    # reads that action backwards and enumerates nothing, so it needs no
+    # cap of its own, and every builder takes one as an argument
     group = build(make_presentation(kind, 3, [4, 3]), 5000)
-    assert group.max_cosets == 5000
-    assert dual(group).max_cosets == group.max_cosets
+    assert not hasattr(group, "max_cosets")
+
+    def enumerate_nothing(*args):
+        raise AssertionError("the dual enumerated")
+
+    monkeypatch.setattr(stringc, "enumerate_cosets", enumerate_nothing)
+    assert dual(group).table.num_cosets == group.order
+
+
+def reference_dual_relator(w, n):
+    """The dual's relabelling written out letter by letter: an
+    independent reference for Word.substitute."""
+    return Word(tuple((n - 1 - g, e) for g, e in reversed(w.letters)))
+
+
+def test_dual_relators_match_the_letter_loop(built_groups):
+    assert len(built_groups) == 22
+    for name, group in built_groups.items():
+        n = group.pres.num_generators
+        want = [reference_dual_relator(w, n).letters
+                for w in group.pres.relators]
+        assert [w.letters for w in dual(group).pres.relators] == want, name
 
 
 def test_double_dual_identity():
