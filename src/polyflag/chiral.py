@@ -42,9 +42,9 @@ trivial subgroup instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .presentation import Word, Presentation, ROTATION, make_presentation
+from .presentation import Word, ROTATION, make_presentation
 from .coset_enum import enumerate_cosets, pair_orbit_table, DEFAULT_MAX_COSETS
 from .stringc import RegularGroup, dual, is_string_c_group
 from .analysis import FlagBound, f_vector, flatness_spectrum, is_tight
@@ -146,12 +146,8 @@ def enantiomorph(group, max_cosets=DEFAULT_MAX_COSETS):
     if group.pres is None:
         raise ValueError("a section has no presentation to mirror")
     images = _mirror(group.pres.num_generators)
-    pres = Presentation(
-        num_generators=group.pres.num_generators,
-        kind=ROTATION,
-        relators=tuple(w.substitute(images) for w in group.pres.relators),
-        declared_schlafli=group.pres.declared_schlafli,
-    )
+    pres = replace(group.pres, relators=tuple(
+        w.substitute(images) for w in group.pres.relators))
     out = build_rotation_group(pres, max_cosets)
     if out.order != group.order:
         raise RotationViolation("mirror image changed the group order")
@@ -211,11 +207,11 @@ def mixed_regular_cover_flags(group):
     twice the order of the mix with the enantiomorph, 2 |G| |K|.
 
     The enantiomorph is G under the mirror images, so the mix is taken
-    on G's points with no second enumeration: the mirror keeps G's table
-    for its order only, and claims no presentation.  K is trivial, and
-    the cover is the polytope itself, exactly when G is regular.
+    on G's points with no second enumeration: like a section, the mirror
+    holds no presentation and no table.  K is trivial, and the cover is
+    the polytope itself, exactly when G is regular.
     """
-    mirror = RotationGroup(None, group.table, _mirror_images(group))
+    mirror = RotationGroup(None, None, _mirror_images(group))
     return 2 * mix_order(group, mirror)
 
 

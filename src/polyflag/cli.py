@@ -188,32 +188,28 @@ def _parse_rank_range(text, default):
 
 def _verify_table2(args, results):
     lo, hi = _parse_rank_range(args.rank, (3, 6))
-    failures = 0
     for rank in range(lo, hi + 1):
         for which in (1, 2, 3, 4):
             bound = min_nonflat_flags(rank, which)
             witness = table2_witness(rank, which, args.max_cosets)
             label = f"table2 rank {rank} #{which}"
+            ok, order = True, None
             if witness is None:
                 tag = "exact" if bound.exact else "lower bound"
-                results.append({"cell": [rank, which], "flags": bound.value,
-                                "exact": bound.exact, "witness": None,
-                                "ok": True})
                 print(f"{label}: {'' if bound.exact else '>= '}"
                       f"{bound.value} ({tag}, value-only) ok")
-                continue
-            report = analyze(witness)
-            good_count = (witness.order == bound.value if bound.exact
-                          else witness.order >= bound.value)
-            ok = bool(report.c_group and not report.is_flat and good_count)
-            failures += not ok
+            else:
+                report, order = analyze(witness), witness.order
+                good_count = (order == bound.value if bound.exact
+                              else order >= bound.value)
+                ok = bool(report.c_group and not report.is_flat
+                          and good_count)
+                print(f"{label}: {bound.value} witness order {order}"
+                      f" non-flat {not report.is_flat}"
+                      f" {'ok' if ok else 'FAIL'}")
             results.append({"cell": [rank, which], "flags": bound.value,
-                            "exact": bound.exact,
-                            "witness": witness.order, "ok": ok})
-            print(f"{label}: {bound.value} witness order {witness.order}"
-                  f" non-flat {not report.is_flat}"
-                  f" {'ok' if ok else 'FAIL'}")
-    return failures
+                            "exact": bound.exact, "witness": order,
+                            "ok": ok})
 
 
 # numeric flag-count cells: (rank, facet kind, vertex-figure kind,
@@ -238,48 +234,48 @@ _TABLE3_CELLS = (
 )
 
 
+def _corpus_reports(args, wanted):
+    """Each corpus entry whose presentation ``wanted`` accepts, built and
+    reported: (name, group, payload, sidecar)."""
+    for name in corpus.corpus_names():
+        pres, expected = corpus.load_entry(name)
+        if wanted(pres):
+            group = _build(pres, args.max_cosets)
+            yield name, group, _report(group)[0], expected
+
+
 def _verify_table3(args, results):
     lo, hi = _parse_rank_range(args.rank, (3, 8))
-    failures = 0
     for rank, fk, vk, value, attained in _TABLE3_CELLS:
         if not lo <= rank <= hi:
             continue
         bound = chiral_lower_bound(rank, fk, vk)
         ok = bound.value == value and bound.exact == attained
-        failures += not ok
         results.append({"rank": rank, "facet": fk, "vertex_figure": vk,
                         "flags": value, "exact": attained, "ok": ok})
         print(f"table3 rank {rank} {fk[0]}{vk[0]}:"
               f" {'' if attained else '>= '}{value}"
               f" {'ok' if ok else 'FAIL'}")
     if hi >= 8:
-        chain_bad = 0
         for n in range(8, 17):
             cc = chiral_lower_bound(n, "chiral", "chiral").value
             cr = chiral_lower_bound(n, "chiral", "regular").value
             rr = chiral_lower_bound(n, "regular", "regular").value
-            ok = cc < cr < rr
-            chain_bad += not ok
-            results.append({"rank": n, "chain": [cc, cr, rr], "ok": ok})
-        failures += chain_bad
+            results.append({"rank": n, "chain": [cc, cr, rr],
+                            "ok": cc < cr < rr})
         print(f"table3 bound ordering cc < cr < rr for ranks 8..16:"
-              f" {'ok' if not chain_bad else 'FAIL'}")
-    for name in corpus.corpus_names():
-        pres, expected = corpus.load_entry(name)
-        if pres.kind == REFLECTION or not lo <= pres.rank <= hi:
-            continue
-        payload, _ = _report(_build(pres, args.max_cosets))
+              f" {'ok' if all(r['ok'] for r in results[-9:]) else 'FAIL'}")
+    for name, _, payload, expected in _corpus_reports(
+            args, lambda p: p.kind != REFLECTION and lo <= p.rank <= hi):
         check = payload["bound_check"]
         if check is None:  # a regular rotation group has no chiral bound
             continue
         flags, bound = check["flags"], check["minimum_flags"]
         ok = check["ok"] and not _sidecar_disagreements(payload, expected)
-        failures += not ok
         results.append({"witness": name, "flags": flags,
                         "bound": bound, "ok": ok})
         print(f"table3 witness {name}: {flags} flags"
               f" >= bound {bound} {'ok' if ok else 'FAIL'}")
-    return failures
 
 
 def _sidecar_disagreements(payload, expected):
@@ -292,13 +288,8 @@ def _sidecar_disagreements(payload, expected):
 
 def _verify_props(args, results):
     lo, hi = _parse_rank_range(args.rank, (0, sys.maxsize))
-    failures = 0
-    for name in corpus.corpus_names():
-        pres, expected = corpus.load_entry(name)
-        if not lo <= pres.rank <= hi:
-            continue
-        group = _build(pres, args.max_cosets)
-        payload, _ = _report(group)
+    for name, group, payload, expected in _corpus_reports(
+            args, lambda p: lo <= p.rank <= hi):
         violations = payload["audit_violations"]
         # equal witnesses mean equal verdicts: a failure always has one
         oracle = intersection_condition_exhaustive(group).witness
@@ -306,18 +297,17 @@ def _verify_props(args, results):
             violations.append("exhaustive_oracle_disagrees")
         violations += _sidecar_disagreements(payload, expected)
         ok = not violations
-        failures += not ok
         results.append({"entry": name, "violations": violations, "ok": ok})
         print(f"props {name}: "
               + ("ok" if ok else "VIOLATIONS " + ", ".join(violations)))
-    return failures
 
 
 def cmd_verify(args):
     results = []
     runner = {"table2": _verify_table2, "table3": _verify_table3,
               "props": _verify_props}[args.suite]
-    failures = runner(args, results)
+    runner(args, results)
+    failures = sum(not r["ok"] for r in results)
     print(f"{args.suite}: {len(results)} checks, {failures} failures")
     if args.json:
         print(json.dumps({"suite": args.suite, "results": results,

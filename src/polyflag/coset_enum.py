@@ -31,9 +31,9 @@ processed.
 Coset numbering is deterministic: cosets are numbered by first definition
 in scanning order, and the finished table is compacted to be gap-free, so
 identical input yields an identical table.  Every table is proved before it
-is returned: complete, mirror-consistent, closed under every relator, and
-with coset 0 fixed by the subgroup words, each relator traced from all
-cosets at once with numpy.
+is returned (``prove_table``): complete, mirror-consistent, closed under
+every relator, and with coset 0 fixed by the subgroup words, each relator
+traced from all cosets at once with numpy.
 
 ``pair_orbit_table`` reaches a regular action the other way: it enumerates
 the cosets of a cyclic subgroup and walks the orbit of a pair of them,
@@ -366,18 +366,16 @@ def enumerate_cosets(pres, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
     CosetLimitExceeded if more than ``max_cosets`` cosets would have to be
     live at once.
     """
-    ncols = 2 * pres.num_generators
-    relators = _relator_columns(pres)
-    sub = [word_to_columns(w) for w in subgroup_words]
-    enum = _Enumerator(ncols, relators, max_cosets)
-    enum.run(sub)
+    enum = _Enumerator(2 * pres.num_generators, _relator_columns(pres),
+                       max_cosets)
+    enum.run([word_to_columns(w) for w in subgroup_words])
     table = CosetTable(
         num_generators=pres.num_generators,
         num_cosets=len(enum.parent),
         action=tuple(zip(*enum.cols)),
     )
     del enum  # free the working table before the proof allocates arrays
-    _check_table(table, relators, sub)
+    prove_table(pres, table, subgroup_words)
     return table
 
 
@@ -439,7 +437,7 @@ def pair_orbit_table(pres, gen, word, max_cosets=DEFAULT_MAX_COSETS):
     if len(points) < math.gcd(*powers) * m:
         return None
     table = CosetTable(pres.num_generators, len(points), tuple(action))
-    _check_table(table, _relator_columns(pres), ())
+    prove_table(pres, table)
     return table
 
 
@@ -479,9 +477,11 @@ def _table_fault(table, relators, subgroup_cols=()):
     return None
 
 
-def _check_table(table, relators, subgroup_cols):
-    """Prove the table before it is handed out; raises on any fault."""
-    fault = _table_fault(table, relators, subgroup_cols)
+def prove_table(pres, table, subgroup_words=()):
+    """Prove the table before it is handed out: raise InternalError
+    naming the first fault _table_fault finds against ``pres``."""
+    fault = _table_fault(table, _relator_columns(pres),
+                         [word_to_columns(w) for w in subgroup_words])
     if fault is not None:
         raise InternalError(fault)
 
@@ -497,9 +497,7 @@ def coset_action(table):
 
 def relators_close(pres, table):
     """True iff the table is a complete action on which every relator
-    traces back to its start from every coset.
-
-    The same traced check enumerate_cosets runs on every table it returns.
-    """
-    rels = [word_to_columns(w) for w in pres.relators]
-    return _table_fault(table, rels) is None
+    traces back to its start from every coset: prove_table's check on
+    the same cyclically reduced relators (on a permutation action, a
+    relator closes everywhere iff its cyclic reduction does)."""
+    return _table_fault(table, _relator_columns(pres)) is None

@@ -14,12 +14,18 @@ kept freely reduced.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from math import factorial
 from dataclasses import dataclass
 from collections import Counter
 
 REFLECTION = "reflection"
 ROTATION = "rotation"
+
+# What a kind is: its generator letter, and its rank minus its generator
+# count, which is also the index of the letter naming generator 0
+# (r0..r{n-1} for rank n, or s1..s{n-1}).
+KINDS = {REFLECTION: ("r", 0), ROTATION: ("s", 1)}
 
 # Input bounds, checked before anything is expanded, so that a few bytes
 # of input cannot ask for gigabytes: letters in one product or power of
@@ -35,6 +41,22 @@ class PresentationError(Exception):
 def _check_size(count, limit=MAX_WORD_LETTERS, what="letters in a word"):
     if count > limit:
         raise PresentationError(f"{count} {what} exceed the limit of {limit}")
+
+
+def _kind_spec(kind):
+    """The (generator letter, rank offset) of a kind."""
+    if kind not in KINDS:
+        raise PresentationError(f"unknown kind {kind!r}")
+    return KINDS[kind]
+
+
+def _generator_count(kind, rank):
+    """How many generators a presentation of this kind and rank has."""
+    ngens = rank - _kind_spec(kind)[1]
+    if ngens < 1:
+        raise PresentationError("rank too small for this kind")
+    _check_size(ngens, MAX_GENERATORS, "generators")
+    return ngens
 
 
 def free_reduce(letters):
@@ -124,11 +146,7 @@ class Presentation:
     declared_schlafli: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in (REFLECTION, ROTATION):
-            raise PresentationError(f"unknown kind {self.kind!r}")
-        if self.num_generators < 1:
-            raise PresentationError("need at least one generator")
-        _check_size(self.num_generators, MAX_GENERATORS, "generators")
+        _generator_count(self.kind, self.rank)
         for w in self.relators:
             if not w:
                 raise PresentationError("relator reduces to the empty word")
@@ -138,7 +156,7 @@ class Presentation:
 
     @property
     def rank(self):
-        return self.num_generators + (1 if self.kind == ROTATION else 0)
+        return self.num_generators + _kind_spec(self.kind)[1]
 
 
 def coxeter_relators(rank, schlafli):
@@ -236,10 +254,7 @@ def make_presentation(kind, rank, schlafli=None, extra_relators=(),
     builders both go through it, so declared symbols always expand to the
     same relator multiset.
     """
-    ngens = rank if kind == REFLECTION else rank - 1
-    if ngens < 1:
-        raise PresentationError("rank too small for this kind")
-    _check_size(ngens, MAX_GENERATORS, "generators")
+    ngens = _generator_count(kind, rank)
     if schlafli is not None:
         if len(schlafli) != rank - 1:
             raise PresentationError(
@@ -276,38 +291,42 @@ _TOKEN = re.compile(r"\s*([rs]\d+|\^-?\d+|[()\[\],-])")
 
 
 def _tokenize(text):
+    """(token, position) pairs, ending with (None, end of the text)."""
+    text = text.rstrip()
     pos = 0
     tokens = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise PresentationError(
-                    f"syntax error at position {pos}: {text[pos:pos+10]!r}")
-            break
+            raise PresentationError(
+                f"syntax error at position {pos}: {text[pos:pos+10]!r}")
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()
-    return tokens
+    return tokens + [(None, len(text))]
 
 
 class _WordParser:
-    def __init__(self, tokens, kind, num_generators):
-        self.tokens = tokens
+    def __init__(self, text, kind, num_generators):
+        self.tokens = _tokenize(text)
         self.i = 0
         self.kind = kind
         self.ngens = num_generators
 
     def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.tokens[self.i][0]
 
     def take(self):
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
+    def expect(self, tok, msg):
+        if self.peek() != tok:
+            self.fail(msg)
+        self.take()
+
     def fail(self, msg):
-        pos = self.tokens[self.i][1] if self.i < len(self.tokens) else -1
-        raise PresentationError(f"{msg} (position {pos})")
+        raise PresentationError(f"{msg} (position {self.tokens[self.i][1]})")
 
     def parse_word(self, stop=()):
         w = EMPTY
@@ -333,29 +352,21 @@ class _WordParser:
         tok, pos = self.take()
         if tok == "(":
             w = self.parse_word(stop=(")",))
-            if self.peek() != ")":
-                self.fail("unclosed parenthesis")
-            self.take()
+            self.expect(")", "unclosed parenthesis")
             return w
         if tok == "[":
             a = self.parse_word(stop=(",",))
-            if self.peek() != ",":
-                self.fail("commutator needs two parts")
-            self.take()
+            self.expect(",", "commutator needs two parts")
             b = self.parse_word(stop=("]",))
-            if self.peek() != "]":
-                self.fail("unclosed commutator")
-            self.take()
+            self.expect("]", "unclosed commutator")
             return commutator(a, b)
         if tok[0] in "rs":
-            want = "r" if self.kind == REFLECTION else "s"
-            if tok[0] != want:
+            letter, offset = KINDS[self.kind]
+            if tok[0] != letter:
                 raise PresentationError(
                     f"generator {tok} does not match kind {self.kind}"
                     f" (position {pos})")
-            idx = int(tok[1:])
-            if self.kind == ROTATION:
-                idx -= 1
+            idx = int(tok[1:]) - offset
             if not 0 <= idx < self.ngens:
                 raise PresentationError(
                     f"generator index out of range: {tok} (position {pos})")
@@ -364,11 +375,20 @@ class _WordParser:
 
 
 def parse_word(text, kind, num_generators):
-    parser = _WordParser(_tokenize(text), kind, num_generators)
+    parser = _WordParser(text, kind, num_generators)
     w = parser.parse_word()
     if parser.peek() is not None:
         parser.fail("trailing input")
     return w
+
+
+@contextmanager
+def _on_line(lineno):
+    """Prefix any parse error raised in the block with its line number."""
+    try:
+        yield
+    except (ValueError, PresentationError) as exc:
+        raise PresentationError(f"line {lineno}: {exc}") from None
 
 
 def parse_presentation(text):
@@ -377,57 +397,47 @@ def parse_presentation(text):
     Directives: ``rank n``, ``kind reflection|rotation``, optional
     ``schlafli p1 ... `` (token ``inf`` for an unbounded period), then any
     number of ``rel <word>`` and ``central <word>`` lines.  ``#`` starts a
-    comment.
+    comment.  Words are parsed once rank and kind are known; an error in
+    one names its line, as in any other directive.
     """
     rank = None
     kind = None
     schlafli = None
-    rel_lines = []
-    central_lines = []
+    rels, centrals = [], []
+    words = []  # (line number, text, list it parses into, name) per word
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        try:
+        with _on_line(lineno):
             if head == "rank":
                 rank = int(rest)
             elif head == "kind":
-                if rest not in (REFLECTION, ROTATION):
-                    raise PresentationError(f"unknown kind {rest!r}")
+                _kind_spec(rest)
                 kind = rest
             elif head == "schlafli":
-                entries = []
-                for tok in rest.split():
-                    entries.append(None if tok == "inf" else int(tok))
-                schlafli = entries
+                schlafli = [None if tok == "inf" else int(tok)
+                            for tok in rest.split()]
             elif head == "rel":
-                rel_lines.append(rest)
+                words.append((lineno, rest, rels, "relator"))
             elif head == "central":
-                central_lines.append(rest)
+                words.append((lineno, rest, centrals, "central word"))
             else:
                 raise PresentationError(f"unknown directive {head!r}")
-        except ValueError as exc:
-            raise PresentationError(f"line {lineno}: {exc}") from None
-        except PresentationError as exc:
-            raise PresentationError(f"line {lineno}: {exc}") from None
     if rank is None:
         raise PresentationError("rank line missing")
     if kind is None:
         raise PresentationError("kind line missing")
-    ngens = rank if kind == REFLECTION else rank - 1
-    if ngens < 1:
-        raise PresentationError("rank too small for this kind")
-    extra = [parse_word(t, kind, ngens) for t in rel_lines]
-    for w in extra:
-        if not w:
-            raise PresentationError("relator reduces to the empty word")
-    central = [parse_word(t, kind, ngens) for t in central_lines]
-    for w in central:
-        if not w:
-            raise PresentationError("central word reduces to the empty word")
-    return make_presentation(kind, rank, schlafli, extra, central)
+    ngens = _generator_count(kind, rank)
+    for lineno, word_text, out, what in words:
+        with _on_line(lineno):
+            w = parse_word(word_text, kind, ngens)
+            if not w:
+                raise PresentationError(f"{what} reduces to the empty word")
+        out.append(w)
+    return make_presentation(kind, rank, schlafli, rels, centrals)
 
 
 def serialize_presentation(pres):
@@ -445,8 +455,7 @@ def serialize_presentation(pres):
         for w in _schlafli_relators(pres.kind, pres.rank,
                                     pres.declared_schlafli):
             surplus[w.letters] -= 1
-    prefix = "r" if pres.kind == REFLECTION else "s"
-    offset = 0 if pres.kind == REFLECTION else 1
+    prefix, offset = KINDS[pres.kind]
     for letters, count in surplus.items():
         if count < 0:
             # declared symbol no longer matches the relator list; fall back

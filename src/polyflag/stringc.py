@@ -17,10 +17,11 @@ string groups and rotation groups alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 
 from .presentation import Word, REFLECTION, coxeter_order, coxeter_relators
-from .coset_enum import (enumerate_cosets, coset_action, relators_close,
+from .coset_enum import (enumerate_cosets, coset_action, prove_table,
                          CosetLimitExceeded, InternalError,
                          DEFAULT_MAX_COSETS)
 from .permgroup import orbit, word_image
@@ -85,15 +86,14 @@ class RegularGroup:
     the reflections r_i, or the rotations r_a r_b, for i, a, b in I)
     and what shape the generators must have (``check_shape``).  The
     stabilizer of the base i-face is the subgroup of every rank but i,
-    for both classes.
+    for both classes.  Only from_table gives a group a table, the one
+    its generators act by; a section or a mirror holds None.
     """
 
     def __init__(self, pres, table, gens):
         self.pres = pres
         self.table = table
         self.gens = gens
-        self.order = (len(orbit(gens, 0)) if table is None
-                      else table.num_cosets)
         self._orbits = {}
         self._schlafli = None
 
@@ -101,10 +101,17 @@ class RegularGroup:
     def from_table(cls, pres, table):
         """The group of a proved regular action table: its generators'
         action, once the class's shape check (``check_shape``) passes.
-        Every builder returns through here."""
+        Every builder and the dual return through here."""
         group = cls(pres, table, coset_action(table))
         group.check_shape()
         return group
+
+    @cached_property
+    def order(self):
+        """The table's coset count, or with no table the orbit of 0."""
+        if self.table is None:
+            return len(orbit(self.gens, 0))
+        return self.table.num_cosets
 
     def word_orbit(self, words):
         """Element set of the subgroup generated by the given words."""
@@ -203,15 +210,15 @@ def dual(group):
     """The dual's group, string or rotation: generator i of the dual is
     generator n-1-i inverted, so s_1..s_m become s_m^-1..s_1^-1 and a
     string of reflections is just reversed.  No re-enumeration: each row
-    of the regular action is read backwards (column x becomes 2n-1-x), and
-    the table is proved against the relators, each rewritten as its
-    inverse in the new generators.  A section has neither presentation
-    nor table, so its dual is just the reversed, inverted generators.
-    dual(dual(g)) equals g.
+    of the regular action is read backwards (column x becomes 2n-1-x), the
+    table is proved against the relators, each rewritten as its inverse in
+    the new generators, and from_table runs the shape check.  A section
+    has neither presentation nor table, so its dual is just the reversed,
+    inverted generators.  dual(dual(g)) equals g.
     """
-    gens = [g.inverse() for g in reversed(group.gens)]
     if group.pres is None:
-        return type(group)(None, None, gens)
+        return type(group)(None, None,
+                           [g.inverse() for g in reversed(group.gens)])
     pres, n = group.pres, group.pres.num_generators
     sym = pres.declared_schlafli
     relabel = [Word.gen(n - 1 - g).inverse() for g in range(n)]
@@ -220,9 +227,8 @@ def dual(group):
                        declared_schlafli=sym and tuple(reversed(sym)))
     table = replace(group.table,
                     action=tuple(row[::-1] for row in group.table.action))
-    if not relators_close(new_pres, table):
-        raise InternalError("dual table does not satisfy the dual relators")
-    return type(group)(new_pres, table, gens)
+    prove_table(new_pres, table)
+    return type(group).from_table(new_pres, table)
 
 
 def _witness_scan(group):

@@ -10,7 +10,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from polyflag.presentation import (Word, Presentation, make_presentation,
                                    REFLECTION, ROTATION)
 from polyflag.constructions import coxeter, torus_map, torus_order
-from polyflag.coset_enum import CosetLimitExceeded
+from polyflag.coset_enum import CosetLimitExceeded, InternalError
 from polyflag.analysis import (FlagBound, analyze, f_vector, flatness_spectrum,
                                is_tight)
 from polyflag import chiral
@@ -267,6 +267,21 @@ def test_mixed_cover_of_chiral_map():
     assert flags % group.flag_count() == 0
 
 
+def test_mirror_holds_no_table(monkeypatch):
+    # the mirror's generators do not act by G's table, so it holds none
+    group = rotation_torus_map("44", 1, 2)
+    made = []
+    init = RotationGroup.__init__
+
+    def spy(self, pres, table, gens):
+        made.append((pres, table))
+        init(self, pres, table, gens)
+
+    monkeypatch.setattr(RotationGroup, "__init__", spy)
+    assert mixed_regular_cover_flags(group) == 200
+    assert made == [(None, None)]
+
+
 def test_mixed_cover_of_regular_map_is_itself():
     group = rotation_torus_map("44", 2, 0)
     assert mixed_regular_cover_flags(group) == group.flag_count() == 32
@@ -354,7 +369,7 @@ def test_dual_rejects_a_table_its_relators_do_not_close():
         relators=group.pres.relators + (Word.gen(0),),
         declared_schlafli=group.pres.declared_schlafli)
     broken = RotationGroup(pres, group.table, group.gens)
-    with pytest.raises(AssertionError, match="dual table"):
+    with pytest.raises(InternalError, match="relator 4 does not close"):
         dual(broken)
 
 

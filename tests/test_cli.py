@@ -142,6 +142,26 @@ def test_analyze_parse_error(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("line, fragment", [
+    # the exponent's digits pass Python's int-string limit
+    ("rel r0^" + "9" * 5000, "Exceeds the limit"),
+    ("rel r0^0", "exponent zero (position 4)"),
+    ("rel (r0 r1", "unclosed parenthesis (position 6)"),
+    ("central r0 r0-", "central word reduces to the empty word"),
+], ids=["long-exponent", "exponent-zero", "unclosed", "empty-central"])
+def test_analyze_word_errors_name_their_line(tmp_path, capsys, line,
+                                             fragment):
+    # words are parsed after the directives, but under the same
+    # per-line error wrapping
+    path = tmp_path / "bad.txt"
+    path.write_text(f"rank 3\nkind reflection\nschlafli 3 3\n{line}\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("parse error: line 4: ")
+    assert fragment in err
+    assert "position -1" not in err
+
+
 def test_analyze_coset_limit_flag(tmp_path, capsys):
     code, _, err = run(capsys, "--max-cosets", "100", "analyze",
                        corpus_file(tmp_path, "cube-5"))

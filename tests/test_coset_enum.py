@@ -15,7 +15,7 @@ from polyflag.presentation import (Word, Presentation, make_presentation,
 from polyflag.coset_enum import (
     CosetLimitExceeded, enumerate_cosets, coset_action,
     InternalError, relators_close, word_to_columns, pair_orbit_table,
-    _check_table, _Enumerator,
+    prove_table, _Enumerator,
 )
 from polyflag.permgroup import orbit
 
@@ -304,28 +304,41 @@ def relator_columns(pres):
     return [word_to_columns(w) for w in pres.relators]
 
 
-def test_check_table_faults():
+def test_prove_table_faults():
     pres = cox(4, 3)
     table = enumerate_cosets(pres, ())
-    rels = relator_columns(pres)
-    _check_table(table, rels, [word_to_columns(Word.gen(0) ** 2)])
+    prove_table(pres, table, [Word.gen(0) ** 2])
     with pytest.raises(AssertionError, match=r"incomplete table at \(5, 2\)"):
-        _check_table(corrupt(table, 5, 2, -1), rels, [])
+        prove_table(pres, corrupt(table, 5, 2, -1))
     with pytest.raises(AssertionError, match="incomplete"):
-        _check_table(corrupt(table, 0, 0, 48), rels, [])
+        prove_table(pres, corrupt(table, 0, 0, 48))
     # send coset 5 under r1 somewhere its r1 image does not come back from
     target = next(d for d in range(48) if d != table.action[5][2])
     with pytest.raises(AssertionError, match="mirror violation"):
-        _check_table(corrupt(table, 5, 2, target), rels, [])
+        prove_table(pres, corrupt(table, 5, 2, target))
     with pytest.raises(AssertionError, match="subgroup word"):
-        _check_table(table, rels, [word_to_columns(Word.gen(0))])
+        prove_table(pres, table, [Word.gen(0)])
     # a mirror-consistent table of [3,3] does not satisfy (r0 r1)^4
     small = enumerate_cosets(cox(3, 3), ())
     with pytest.raises(AssertionError, match="does not close"):
-        _check_table(small, relator_columns(cox(4, 3)), [])
+        prove_table(pres, small)
     # a fault is an internal error, and still an AssertionError
     with pytest.raises(InternalError, match="does not close"):
-        _check_table(small, relator_columns(cox(4, 3)), [])
+        prove_table(pres, small)
+
+
+def test_enumerate_and_pair_orbit_prove_through_prove_table(monkeypatch):
+    # both routes to a table hand it to the one proof
+    from polyflag import coset_enum
+    proved = []
+
+    def spy(pres, table, subgroup_words=()):
+        proved.append((table.num_cosets, tuple(subgroup_words)))
+
+    pres = _torus_pres("44", 1, 2)
+    monkeypatch.setattr(coset_enum, "prove_table", spy)
+    pair_orbit_table(pres, 1, Word.gen(0))
+    assert proved == [(5, (Word.gen(1),)), (20, ())]
 
 
 def test_relators_close_rejects_incomplete_table():

@@ -78,3 +78,51 @@ def test_no_private_names_imported_across_modules():
                      and isinstance(node.value, ast.Name)
                      and node.value.id in modules and _private(node.attr))
     assert found == []
+
+
+_GROUP_CLASSES = {"StringGroup", "RotationGroup", "RegularGroup", "cls"}
+
+
+def _table_argument(call):
+    """The table argument of a group constructor call (a call to a group
+    class, to ``cls`` or to ``type(...)``), or None for any other call."""
+    func = call.func
+    if isinstance(func, ast.Call):  # type(group)(...)
+        func = func.func if isinstance(func.func, ast.Name) else None
+        makes_group = func is not None and func.id == "type"
+    else:
+        makes_group = isinstance(func, ast.Name) and func.id in _GROUP_CLASSES
+    if not makes_group:
+        return None
+    if len(call.args) >= 2:
+        return call.args[1]
+    return next((k.value for k in call.keywords if k.arg == "table"), None)
+
+
+def _tables_passed(node, scope=()):
+    """Line numbers of group constructor calls under node that pass a
+    table other than the literal None outside RegularGroup.from_table."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        scope = scope + (node.name,)
+    found = []
+    if isinstance(node, ast.Call):
+        table = _table_argument(node)
+        if (table is not None
+                and not (isinstance(table, ast.Constant)
+                         and table.value is None)
+                and scope[-2:] != ("RegularGroup", "from_table")):
+            found.append(node.lineno)
+    for child in ast.iter_child_nodes(node):
+        found.extend(_tables_passed(child, scope))
+    return found
+
+
+def test_only_from_table_gives_a_group_a_table():
+    # a group holds a table only when its generators act by it, so a
+    # constructor call may pass one only inside RegularGroup.from_table;
+    # sections and mirrors pass the literal None
+    paths = sorted(SRC.rglob("*.py"))
+    assert len(paths) > 5
+    found = [f"{path.relative_to(SRC)}:{line}" for path in paths
+             for line in _tables_passed(ast.parse(path.read_text()))]
+    assert found == []

@@ -8,10 +8,11 @@ from polyflag.coset_enum import CosetLimitExceeded, enumerate_cosets
 from polyflag.presentation import (Word, Presentation, make_presentation,
                                    REFLECTION, ROTATION)
 from polyflag.stringc import (
-    SggiViolation, CoxeterLimitExceeded, build_string_group,
+    SggiViolation, CoxeterLimitExceeded, StringGroup, build_string_group,
     is_string_c_group, intersection_condition_exhaustive, dual,
 )
-from polyflag.chiral import build_rotation_group
+from polyflag.chiral import (RotationGroup, build_rotation_group,
+                             rotation_torus_map)
 
 
 def cox(*periods):
@@ -182,6 +183,35 @@ def test_dual_keeps_coset_cap(kind, build, monkeypatch):
 
     monkeypatch.setattr(stringc, "enumerate_cosets", enumerate_nothing)
     assert dual(group).table.num_cosets == group.order
+
+
+@pytest.mark.parametrize("cls, build", [
+    (StringGroup, lambda: cox(4, 3)),
+    (RotationGroup, lambda: rotation_torus_map("36", 1, 2)),
+])
+def test_dual_runs_the_shape_check(cls, build, monkeypatch):
+    # the dual is made by from_table, so the class's check_shape runs
+    group = build()
+
+    def refuse(self):
+        raise RuntimeError("shape checked")
+
+    monkeypatch.setattr(cls, "check_shape", refuse)
+    with pytest.raises(RuntimeError, match="shape checked"):
+        dual(group)
+
+
+def test_section_order_is_read_on_first_use(monkeypatch):
+    group = cox(4, 3)
+
+    def refuse(gens, point):
+        raise AssertionError("orbit walked")
+
+    monkeypatch.setattr(stringc, "orbit", refuse)
+    section = group.section(0, 1)
+    assert section.table is None
+    with pytest.raises(AssertionError, match="orbit walked"):
+        section.order
 
 
 def reference_dual_relator(w, n):
