@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .presentation import REFLECTION, ROTATION
 from .permgroup import word_image
-from .stringc import StringGroup, is_string_c_group
+from .stringc import is_string_c_group
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,7 @@ def covering_exists(cover_pres, target):
     target's class, or of another rank, never qualify; the target needs
     no presentation of its own, so a section works too.
     """
-    kind = REFLECTION if isinstance(target, StringGroup) else ROTATION
-    if cover_pres.kind != kind or cover_pres.rank != target.rank:
+    if cover_pres.kind != target.kind or cover_pres.rank != target.rank:
         return False
     return all(word_image(target.gens, w).is_identity()
                for w in cover_pres.relators)

@@ -35,8 +35,8 @@ A torus map's regular action comes from its m vertices, the cosets of
 <s2>: G permutes pairs of vertices, and s2^q = 1 bounds |G| by q m, so
 an orbit of q m vertex pairs certifies that G acts on it regularly.
 The degenerate tori, where a vertex pair has a nontrivial stabilizer,
-and any torus whose vertices pass the coset cap enumerate G over the
-trivial subgroup instead.
+enumerate G over the trivial subgroup instead; vertices past the coset
+cap put G past it too, so that is final.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ from .presentation import Word, ROTATION, make_presentation
 from .coset_enum import enumerate_cosets, pair_orbit_table, DEFAULT_MAX_COSETS
 from .stringc import RegularGroup, dual, is_string_c_group
 from .analysis import FlagBound, f_vector, flatness_spectrum, is_tight
-from .constructions import torus_kind, check_torus_params, torus_order
-from .permgroup import orbit, word_image
+from .constructions import (torus_kind, check_torus_params, torus_order,
+                           certify)
+from .permgroup import word_image
 # unused here, but the benchmark's tracer installs spans at
 # chiral.coset_action and chiral.build_chain
 from .coset_enum import coset_action  # noqa: F401
@@ -63,9 +64,7 @@ class RotationViolation(Exception):
 class RotationGroup(RegularGroup):
     """A finite rotation group; each element stands for two flags."""
 
-    @property
-    def rank(self):
-        return len(self.gens) + 1
+    kind = ROTATION
 
     def rotations(self):
         return self.gens
@@ -87,9 +86,9 @@ class RotationGroup(RegularGroup):
         any declared periods are attained."""
         gens = self.gens
         m = self.pres.num_generators
-        for i, p in enumerate(self.pres.declared_schlafli or ()):
-            # the action is regular: the cycle through 0 has the order
-            if p is not None and (k := len(orbit([gens[i]], 0))) != p:
+        declared = self.pres.declared_schlafli or ()
+        for i, (p, k) in enumerate(zip(declared, self.schlafli_symbol())):
+            if p is not None and k != p:
                 raise RotationViolation(
                     f"s{i + 1} has order {k}, declared {p}")
         for i in range(m):
@@ -312,7 +311,8 @@ def rotation_torus_map(kind, b, c, max_cosets=DEFAULT_MAX_COSETS):
     """Rotation group of the torus map {4,4}_(b,c), {3,6}_(b,c) or
     {6,3}_(b,c); accepts chiral parameters, unlike the reflection
     builder.  The translation words are the rotational rewrites of the
-    reflection-side ones; the order certificate is half the flag count.
+    reflection-side ones; the order certificate (certify) is half the
+    flag count.
     {6,3}_(b,c) is the dual of {3,6}_(b,c), so it is built as one.
     The regular action is the orbit of the base vertex and a neighbour
     of it on the base face (coset_enum.pair_orbit_table over <s2>)."""
@@ -333,11 +333,7 @@ def rotation_torus_map(kind, b, c, max_cosets=DEFAULT_MAX_COSETS):
     table = pair_orbit_table(pres, 1, s1, max_cosets)
     group = (build_rotation_group(pres, max_cosets) if table is None
              else RotationGroup.from_table(pres, table))
-    expected = torus_order(kind, b, c) // 2
-    if group.order != expected:
-        raise RotationViolation(
-            f"order certificate failed: expected {expected}, "
-            f"got {group.order}")
+    certify("order", torus_order(kind, b, c) // 2, group.order)
     return group
 
 

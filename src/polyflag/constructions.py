@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .presentation import (Word, Presentation, REFLECTION, make_presentation,
-                           coxeter_order)
+from .presentation import (Word, REFLECTION, make_presentation,
+                           coxeter_order, coxeter_relators)
 from .coset_enum import DEFAULT_MAX_COSETS
 from .stringc import (StringGroup, build_string_group, dual,
                       is_string_c_group)
@@ -74,7 +74,8 @@ def is_regular_torus(b, c):
     return b == 0 or c == 0 or b == c
 
 
-def _certify(label, expected, got):
+def certify(label, expected, got):
+    """Raise CertificateMismatch unless a builder got what it expected."""
     if expected != got:
         raise CertificateMismatch(
             f"{label}: expected {expected}, got {got}")
@@ -91,7 +92,7 @@ def coxeter(*periods, max_cosets=DEFAULT_MAX_COSETS):
             raise ValueError(f"periods must be >= 2, got {p}")
     pres = make_presentation(REFLECTION, len(periods) + 1, list(periods))
     group = build_string_group(pres, max_cosets)
-    _certify("order", coxeter_order(periods), group.order)
+    certify("order", coxeter_order(periods), group.order)
     return group
 
 
@@ -114,12 +115,12 @@ def simplex_extension(*periods, max_cosets=DEFAULT_MAX_COSETS):
     pres = make_presentation(REFLECTION, n, list(periods),
                              central_words=central)
     group = build_string_group(pres, max_cosets)
-    _certify("order", simplex_extension_order(periods), group.order)
-    _certify("schlafli", tuple(periods), group.schlafli_symbol())
+    certify("order", simplex_extension_order(periods), group.order)
+    certify("schlafli", tuple(periods), group.schlafli_symbol())
     if not is_string_c_group(group):
         raise CertificateMismatch("intersection condition failed")
     vertices = group.order // group.parabolic_order(range(1, n))
-    _certify("vertices", (n + 1) * periods[0] // 3, vertices)
+    certify("vertices", (n + 1) * periods[0] // 3, vertices)
     return group
 
 
@@ -158,7 +159,7 @@ def torus_map(kind, b, c, max_cosets=DEFAULT_MAX_COSETS):
     pres = make_presentation(REFLECTION, 3, symbol,
                              extra_relators=[x ** b * y ** c])
     group = build_string_group(pres, max_cosets)
-    _certify("order", torus_order(kind, b, c), group.order)
+    certify("order", torus_order(kind, b, c), group.order)
     return group
 
 
@@ -170,16 +171,19 @@ def hemi_icosahedron(max_cosets=DEFAULT_MAX_COSETS):
     pres = make_presentation(REFLECTION, 3, [3, 5],
                              extra_relators=[w ** 5])
     group = build_string_group(pres, max_cosets)
-    _certify("order", 60, group.order)
+    certify("order", 60, group.order)
     return group
 
 
 def universal_amalgam(facet, vertex_figure, max_cosets=DEFAULT_MAX_COSETS):
     """Largest polytope with the given facet and vertex-figure string groups.
 
-    The presentation is the union of the facet's relators on r0..r_{n-2}
-    and the vertex-figure's shifted to r1..r_{n-1}, plus the one string
-    commutation (r0 r_{n-1})^2 that neither window contains.  Section
+    The presentation is make_presentation's string Coxeter group of the
+    joined symbol plus the facet's relators on r0..r_{n-2} and the
+    vertex-figure's shifted to r1..r_{n-1}, those it lacks: the windows
+    hold all of that scaffold but (r0 r_{n-1})^2, which it adds.  So bare
+    Coxeter sections join to a bare Coxeter presentation, which
+    build_string_group can refuse before enumerating.  Section
     compatibility is prechecked only through the overlap of Schlafli
     symbols; a deeper mismatch surfaces as a collapse, detected by
     comparing the parabolic subgroup orders against the inputs.
@@ -201,23 +205,16 @@ def universal_amalgam(facet, vertex_figure, max_cosets=DEFAULT_MAX_COSETS):
             f"symbol overlap mismatch: {k.schlafli_symbol()} cannot share "
             f"a section with {l.schlafli_symbol()}")
     n = k.rank + 1
+    symbol = k.schlafli_symbol() + (l.schlafli_symbol()[-1],)
     up = [Word.gen(g + 1) for g in range(n - 1)]
     shift = tuple(w.substitute(up) for w in l.pres.relators)
-    # both windows carry the shared scaffold; keep first occurrences only.
-    # the one string relation neither window sees is (r0 r_{n-1})^2.
-    relators = list(k.pres.relators)
-    seen = {w.letters for w in relators}
-    for w in shift + ((Word.gen(0) * Word.gen(n - 1)) ** 2,):
+    seen = {w.letters for w in coxeter_relators(n, symbol)}
+    extras = []  # first occurrences only
+    for w in k.pres.relators + shift:
         if w.letters not in seen:
             seen.add(w.letters)
-            relators.append(w)
-    symbol = k.schlafli_symbol() + (l.schlafli_symbol()[-1],)
-    pres = Presentation(
-        num_generators=n,
-        kind=REFLECTION,
-        relators=tuple(relators),
-        declared_schlafli=symbol,
-    )
+            extras.append(w)
+    pres = make_presentation(REFLECTION, n, symbol, extra_relators=extras)
     group = build_string_group(pres, max_cosets)
     facet_order = group.parabolic_order(range(n - 1))
     if facet_order != k.order:

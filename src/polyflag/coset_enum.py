@@ -403,19 +403,16 @@ def pair_orbit_table(pres, gen, word, max_cosets=DEFAULT_MAX_COSETS):
     trivial: the action on O is the regular action, numbered otherwise
     than an enumeration over the trivial subgroup numbers it.  With no
     relator s^q there is no bound and the result is None, as it is when
-    |O| < q m or when enumerating H hits ``max_cosets``, so the caller
-    can enumerate the group plainly.  An orbit of more than
-    ``max_cosets`` points raises CosetLimitExceeded: then |G| is over
-    the cap too.  The table is proved like every enumerated one.
+    |O| < q m, so the caller can enumerate the group plainly.  More than
+    ``max_cosets`` cosets of H or points of O raise CosetLimitExceeded:
+    then |G| is over the cap too.  The table is proved like every
+    enumerated one.
     """
     powers = [len(w) for w in pres.relators
               if len(set(w.letters)) == 1 and w.letters[0][0] == gen]
     if not powers:
         return None
-    try:
-        cosets = enumerate_cosets(pres, (Word.gen(gen),), max_cosets)
-    except CosetLimitExceeded:
-        return None
+    cosets = enumerate_cosets(pres, (Word.gen(gen),), max_cosets)
     m = cosets.num_cosets
     rows = cosets.action
     start = cosets.trace(0, word)

@@ -336,15 +336,13 @@ class _WordParser:
 
     def parse_factor(self):
         w = self.parse_atom()
-        while self.peek() in ("-",) or (
-                self.peek() or "").startswith("^"):
-            tok, _ = self.take()
+        while self.peek() == "-" or (self.peek() or "").startswith("^"):
+            tok, pos = self.take()
             if tok == "-":
                 w = w.inverse()
+            elif (k := int(tok[1:])) == 0:
+                raise PresentationError(f"exponent zero (position {pos})")
             else:
-                k = int(tok[1:])
-                if k == 0:
-                    self.fail("exponent zero")
                 w = w ** k
         return w
 

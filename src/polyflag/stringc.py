@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 
-from .presentation import Word, REFLECTION, coxeter_order, coxeter_relators
+from .presentation import (Word, KINDS, REFLECTION, coxeter_order,
+                           coxeter_relators)
 from .coset_enum import (enumerate_cosets, coset_action, prove_table,
                          CosetLimitExceeded, InternalError,
                          DEFAULT_MAX_COSETS)
@@ -80,14 +81,15 @@ class RegularGroup:
 
     The regular action is free, so the orbit of the trivial coset under
     any set of elements is the subgroup they generate; each such element
-    set is computed once and cached.  Subclasses say what the rank is,
-    which elements the rotations are, how many flags there are and which
-    words generate the subgroup of a set I of ranks (``parabolic_orbit``:
-    the reflections r_i, or the rotations r_a r_b, for i, a, b in I)
-    and what shape the generators must have (``check_shape``).  The
-    stabilizer of the base i-face is the subgroup of every rank but i,
-    for both classes.  Only from_table gives a group a table, the one
-    its generators act by; a section or a mirror holds None.
+    set is computed once and cached.  Subclasses say their presentation
+    ``kind`` (so the rank), which elements the rotations are, how many
+    flags there are, which words generate the subgroup of a set I of
+    ranks (``parabolic_orbit``: the reflections r_i, or the rotations
+    r_a r_b, for i, a, b in I) and what shape the generators must have
+    (``check_shape``).  The stabilizer of the base i-face is the
+    subgroup of every rank but i, for both classes.  Only from_table
+    gives a group a table, the one its generators act by; a section or
+    a mirror holds None.
     """
 
     def __init__(self, pres, table, gens):
@@ -96,6 +98,10 @@ class RegularGroup:
         self.gens = gens
         self._orbits = {}
         self._schlafli = None
+
+    @property
+    def rank(self):
+        return len(self.gens) + KINDS[self.kind][1]
 
     @classmethod
     def from_table(cls, pres, table):
@@ -151,9 +157,7 @@ class RegularGroup:
 class StringGroup(RegularGroup):
     """A finite string group; its elements are the flags."""
 
-    @property
-    def rank(self):
-        return len(self.gens)
+    kind = REFLECTION
 
     def rotations(self):
         return [self.gens[i - 1] * self.gens[i]

@@ -9,7 +9,8 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from polyflag.presentation import (Word, Presentation, make_presentation,
                                    REFLECTION, ROTATION)
-from polyflag.constructions import coxeter, torus_map, torus_order
+from polyflag.constructions import (CertificateMismatch, coxeter, torus_map,
+                                    torus_order)
 from polyflag.coset_enum import CosetLimitExceeded, InternalError
 from polyflag.analysis import (FlagBound, analyze, f_vector, flatness_spectrum,
                                is_tight)
@@ -718,9 +719,21 @@ def test_torus_orbit_over_the_cap_raises():
     assert info.value.max_cosets == 1000
 
 
-def test_torus_vertex_enumeration_over_the_cap_falls_back():
+def test_torus_certificate_failure_is_a_certificate_mismatch(monkeypatch):
+    # the torus closed form is certified like every builder's
+    monkeypatch.setattr(chiral, "torus_order", lambda kind, b, c: 2)
+    with pytest.raises(CertificateMismatch,
+                       match="^order: expected 1, got 20$"):
+        rotation_torus_map("44", 1, 2)
+
+
+def test_torus_vertex_enumeration_over_the_cap_is_final(monkeypatch):
     # {4,4}_(3,5) has 34 vertices: enumerating them already passes a cap
-    # of 20, so the plain enumeration runs and stops as it always did
+    # of 20, so the group passes it too and no plain enumeration runs
+    def enumerate_plainly(*args):
+        raise AssertionError("fell back to a plain enumeration")
+
+    monkeypatch.setattr(chiral, "build_rotation_group", enumerate_plainly)
     with pytest.raises(CosetLimitExceeded) as info:
         rotation_torus_map("44", 3, 5, max_cosets=20)
     assert str(info.value) == (

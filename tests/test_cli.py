@@ -145,7 +145,7 @@ def test_analyze_parse_error(tmp_path, capsys):
 @pytest.mark.parametrize("line, fragment", [
     # the exponent's digits pass Python's int-string limit
     ("rel r0^" + "9" * 5000, "Exceeds the limit"),
-    ("rel r0^0", "exponent zero (position 4)"),
+    ("rel r0^0", "exponent zero (position 2)"),
     ("rel (r0 r1", "unclosed parenthesis (position 6)"),
     ("central r0 r0-", "central word reduces to the empty word"),
 ], ids=["long-exponent", "exponent-zero", "unclosed", "empty-central"])
@@ -333,6 +333,29 @@ def test_construct_amalgam(capsys):
     assert code == 0
     assert "order 288 (no closed form)" in out
     assert "flat pairs (0,3) (1,3)" in out
+
+
+@pytest.mark.parametrize("facet, vertex_figure, symbol", [
+    ("coxeter:4,3", "coxeter:3,4", "[4,3,4]"),
+    ("coxeter:3,5", "coxeter:5,3", "[3,5,3]"),
+])
+def test_construct_infinite_coxeter_amalgam_fails_fast(capsys, facet,
+                                                       vertex_figure, symbol):
+    # the amalgam is the bare Coxeter group of its symbol, refused like
+    # construct coxeter before anything is enumerated
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", "amalgam", facet, vertex_figure)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        f"enumeration limit: string Coxeter group {symbol} is infinite")
+
+
+def test_construct_torus_certificate_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(chiral, "torus_order", lambda kind, b, c: 2)
+    code, out, err = run(capsys, "construct", "torus44", "1", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: order: expected 1, got 20\n"
 
 
 def test_construct_amalgam_needs_two_sections(capsys):

@@ -1,11 +1,15 @@
 """Family builders, their order certificates, and Table-2 witnesses."""
 
 import math
+import re
+import time
 
 import pytest
 
-from polyflag.presentation import Word
-from polyflag.stringc import is_string_c_group
+from polyflag.presentation import (Word, REFLECTION, PresentationError,
+                                   make_presentation)
+from polyflag.stringc import (CoxeterLimitExceeded, build_string_group,
+                              is_string_c_group)
 from polyflag.analysis import analyze, is_flat, min_nonflat_flags, f_vector
 from polyflag.corpus import load_entry
 from polyflag.chiral import rotation_torus_map
@@ -133,6 +137,39 @@ def test_amalgam_collapse_detected():
         universal_amalgam(hemi_icosahedron(), coxeter(5, 3))
 
 
+def enumerate_nothing(*args):
+    raise AssertionError("enumerated a refused amalgam")
+
+
+@pytest.mark.parametrize("periods, symbol", [((4, 3), "[4,3,4]"),
+                                             ((3, 5), "[3,5,3]")])
+def test_amalgam_of_infinite_coxeter_sections_fails_fast(periods, symbol,
+                                                         monkeypatch):
+    # bare Coxeter sections join to a bare Coxeter presentation, so the
+    # closed-form precheck refuses the infinite group before enumerating
+    facet, vertex_figure = coxeter(*periods), coxeter(*periods[::-1])
+    monkeypatch.setattr(stringc, "enumerate_cosets", enumerate_nothing)
+    start = time.perf_counter()
+    with pytest.raises(CoxeterLimitExceeded,
+                       match=re.escape(f"{symbol} is infinite")):
+        universal_amalgam(facet, vertex_figure)
+    assert time.perf_counter() - start < 1
+
+
+def test_amalgam_of_a_period_one_section_is_refused(monkeypatch):
+    # r0 = r1: a rank-2 string group of order 2 whose period is 1, never
+    # a C-group; no Schlafli symbol has that entry, so the join's
+    # make_presentation refuses it before anything is enumerated
+    r0, r1 = Word.gen(0), Word.gen(1)
+    facet = build_string_group(make_presentation(
+        REFLECTION, 2, extra_relators=[r0 ** 2, r0 * r1]))
+    assert (facet.order, facet.schlafli_symbol()) == (2, (1,))
+    vertex_figure = coxeter(3)
+    monkeypatch.setattr(stringc, "enumerate_cosets", enumerate_nothing)
+    with pytest.raises(PresentationError, match="entries must be >= 2"):
+        universal_amalgam(facet, vertex_figure)
+
+
 def test_simplex_amalgam_check():
     assert simplex_amalgam_check(6, 3, 3)
     assert simplex_amalgam_check(6, 6, 3)
@@ -211,13 +248,13 @@ def test_build_family_certifies_order_once(monkeypatch, spec, order):
     # the builder is the only place the closed form is checked, so every
     # routed family must pass through exactly one order certificate
     calls = []
-    certify = constructions._certify
+    certify = constructions.certify
 
     def spy(label, expected, got):
         calls.append((label, expected, got))
         certify(label, expected, got)
 
-    monkeypatch.setattr(constructions, "_certify", spy)
+    monkeypatch.setattr(constructions, "certify", spy)
     assert build_family(spec).order == order
     assert [c for c in calls if c[0] == "order"] == [("order", order, order)]
 
@@ -241,10 +278,6 @@ def test_universal_amalgam_refuses_rotation_groups(facet, vertex_figure,
     groups = {"rotation": rotation_torus_map("44", 1, 2),
               "string": torus_map("44", 2, 0)}
     pair = groups[facet], groups[vertex_figure]
-
-    def enumerate_nothing(*args):
-        raise AssertionError("enumerated a refused amalgam")
-
     monkeypatch.setattr(stringc, "enumerate_cosets", enumerate_nothing)
     which = "facet" if facet == "rotation" else "vertex-figure"
     with pytest.raises(ValueError,
@@ -271,10 +304,10 @@ def test_amalgam_relators_match_the_letter_loop():
     k, l = coxeter(4, 3), torus_map("36", 1, 1)
     pres = universal_amalgam(k, l).pres
     want = [w.letters for w in reference_amalgam_relators(k, l)]
-    assert [w.letters for w in pres.relators] == want
-    # the corpus entry holds the same relators, in its own order
-    corpus = load_entry("amalgam-43-36")[0]
-    assert sorted(want) == sorted(w.letters for w in corpus.relators)
+    # make_presentation orders them its own way: the scaffold first
+    assert sorted(w.letters for w in pres.relators) == sorted(want)
+    # which is the corpus entry's order too
+    assert pres == load_entry("amalgam-43-36")[0]
 
 
 def test_torus_rules():

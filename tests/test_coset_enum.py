@@ -408,7 +408,9 @@ def test_pair_orbit_table_over_the_cap():
     with pytest.raises(CosetLimitExceeded) as info:
         pair_orbit_table(pres, 1, Word.gen(0), max_cosets=1000)
     assert (info.value.max_cosets, info.value.high_water) == (1000, 1000)
-    # enumerating the vertices passes a cap of 200: no answer, no error
-    assert pair_orbit_table(pres, 1, Word.gen(0), max_cosets=200) is None
+    # enumerating the vertices passes a cap of 200, so |G| does too
+    with pytest.raises(CosetLimitExceeded) as info:
+        pair_orbit_table(pres, 1, Word.gen(0), max_cosets=200)
+    assert info.value.max_cosets == 200
     assert pair_orbit_table(pres, 1, Word.gen(0),
                             max_cosets=1806).num_cosets == 1806

@@ -126,3 +126,16 @@ def test_only_from_table_gives_a_group_a_table():
     found = [f"{path.relative_to(SRC)}:{line}" for path in paths
              for line in _tables_passed(ast.parse(path.read_text()))]
     assert found == []
+
+
+def test_only_the_presentation_module_calls_presentation():
+    # make_presentation is the one path from a symbol to its relators, so
+    # no other module assembles a Presentation by hand
+    paths = sorted(p for p in SRC.rglob("*.py") if p.name != "presentation.py")
+    assert len(paths) > 5
+    found = [f"{path.relative_to(SRC)}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and "Presentation" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))]
+    assert found == []
