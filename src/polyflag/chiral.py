@@ -210,7 +210,7 @@ def mixed_regular_cover_flags(group):
     holds no presentation and no table.  K is trivial, and the cover is
     the polytope itself, exactly when G is regular.
     """
-    mirror = RotationGroup(None, None, _mirror_images(group))
+    mirror = RotationGroup(None, _mirror_images(group))
     return 2 * mix_order(group, mirror)
 
 

@@ -118,7 +118,13 @@ def _clean(payload):
 
 
 def cmd_analyze(args):
-    pres = parse_presentation(Path(args.file).read_text())
+    try:
+        text = Path(args.file).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PresentationError(
+            f"not UTF-8: byte {exc.object[exc.start]:#04x}"
+            f" at offset {exc.start}") from None
+    pres = parse_presentation(text)
     payload, lines = _report(_build(pres, args.max_cosets))
     _emit(args, payload, lines)
     return 0 if _clean(payload) else 1

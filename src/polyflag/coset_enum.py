@@ -21,8 +21,9 @@ relator, made by the first lookahead, extended to new cosets by each later
 one, and renumbered with the cosets when the table is compacted.  The
 scan loop does not read them.
 
-The working table is column-major: ``cols[x][c]`` is the image of coset c
-under column x (generator g forward is 2g, inverse 2g+1).  Each relator is
+The table is column-major: ``cols[x][c]`` is the image of coset c under
+column x (generator g forward is 2g, inverse 2g+1), and the finished
+CosetTable keeps this layout, one tuple per column.  Each relator is
 bound to the tuple of the columns its letters read, and of their mirrors,
 so one scan step is one list subscript.  Coset c is dead once
 ``parent[c] != c``; its entries are cleared when its coincidence is
@@ -33,7 +34,7 @@ in scanning order, and the finished table is compacted to be gap-free, so
 identical input yields an identical table.  Every table is proved before it
 is returned (``prove_table``): complete, mirror-consistent, closed under
 every relator, and with coset 0 fixed by the subgroup words, each relator
-traced from all cosets at once with numpy.
+traced from all cosets at once with numpy on the table's columns.
 
 ``pair_orbit_table`` reaches a regular action the other way: it enumerates
 the cosets of a cyclic subgroup and walks the orbit of a pair of them,
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .presentation import Word
+from .permgroup import Perm
 
 DEFAULT_MAX_COSETS = 2_000_000
 
@@ -102,20 +104,31 @@ def _cyclic_reduce(cols):
 class CosetTable:
     """Completed action of the generators on the cosets of a subgroup.
 
-    ``action[c][2g]`` is the image of coset c under generator g and
-    ``action[c][2g + 1]`` its image under the inverse; every entry is
-    filled, and coset 0 is the subgroup itself.
+    ``columns[2g][c]`` is the image of coset c under generator g and
+    ``columns[2g + 1][c]`` its image under the inverse; every entry is
+    filled, and coset 0 is the subgroup itself.  ``action`` is the same
+    table read by rows: ``action[c][x] == columns[x][c]``.
     """
 
-    num_generators: int
-    num_cosets: int
-    action: tuple
+    columns: tuple
+
+    @property
+    def num_generators(self):
+        return len(self.columns) // 2
+
+    @property
+    def num_cosets(self):
+        return len(self.columns[0])
+
+    @property
+    def action(self):
+        return tuple(zip(*self.columns))
 
     def trace(self, coset, word):
         if not 0 <= coset < self.num_cosets:
             raise IndexError(f"coset {coset} out of range")
         for col in word_to_columns(word):
-            coset = self.action[coset][col]
+            coset = self.columns[col][coset]
         return coset
 
 
@@ -369,11 +382,7 @@ def enumerate_cosets(pres, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
     enum = _Enumerator(2 * pres.num_generators, _relator_columns(pres),
                        max_cosets)
     enum.run([word_to_columns(w) for w in subgroup_words])
-    table = CosetTable(
-        num_generators=pres.num_generators,
-        num_cosets=len(enum.parent),
-        action=tuple(zip(*enum.cols)),
-    )
+    table = CosetTable(tuple(map(tuple, enum.cols)))
     del enum  # free the working table before the proof allocates arrays
     prove_table(pres, table, subgroup_words)
     return table
@@ -414,14 +423,13 @@ def pair_orbit_table(pres, gen, word, max_cosets=DEFAULT_MAX_COSETS):
         return None
     cosets = enumerate_cosets(pres, (Word.gen(gen),), max_cosets)
     m = cosets.num_cosets
-    rows = cosets.action
     start = cosets.trace(0, word)
     index = {start: 0}  # point (a, b) is keyed a * m + b
     points = [(0, start)]
-    action = []
+    columns = [(col, []) for col in cosets.columns]
     for a, b in points:  # the list grows while it is walked
-        row = []
-        for x, y in zip(rows[a], rows[b]):
+        for col, out in columns:
+            x, y = col[a], col[b]
             key = x * m + y
             p = index.get(key)
             if p is None:
@@ -429,16 +437,15 @@ def pair_orbit_table(pres, gen, word, max_cosets=DEFAULT_MAX_COSETS):
                     raise CosetLimitExceeded(max_cosets, max_cosets)
                 p = index[key] = len(points)
                 points.append((x, y))
-            row.append(p)
-        action.append(tuple(row))
+            out.append(p)
     if len(points) < math.gcd(*powers) * m:
         return None
-    table = CosetTable(pres.num_generators, len(points), tuple(action))
+    table = CosetTable(tuple(tuple(out) for _, out in columns))
     prove_table(pres, table)
     return table
 
 
-def _table_fault(table, relators, subgroup_cols=()):
+def _table_fault(table, relators, subgroup_words=()):
     """What keeps the table from being a complete, mirror-consistent
     action on which every relator closes and every subgroup word fixes
     coset 0, or None if nothing does.
@@ -447,12 +454,10 @@ def _table_fault(table, relators, subgroup_cols=()):
     letter.
     """
     n = table.num_cosets
-    act = np.array(table.action, dtype=np.int32).reshape(
-        n, 2 * table.num_generators)
-    if act.min() < 0 or act.max() >= n:
-        bad = np.argwhere((act < 0) | (act >= n))
+    cols = np.array(table.columns, dtype=np.int32)
+    if cols.min() < 0 or cols.max() >= n:
+        bad = np.argwhere(((cols < 0) | (cols >= n)).T)
         return "incomplete table at ({}, {})".format(*bad[0])
-    cols = act.T
     cosets = np.arange(n, dtype=np.int32)
     for x, col in enumerate(cols):
         bad = np.flatnonzero(cols[x ^ 1][col] != cosets)
@@ -465,31 +470,22 @@ def _table_fault(table, relators, subgroup_cols=()):
         bad = np.flatnonzero(c != cosets)
         if bad.size:
             return f"relator {k} does not close at coset {bad[0]}"
-    for word in subgroup_cols:
-        c = 0
-        for x in word:
-            c = table.action[c][x]
-        if c != 0:
-            return "subgroup word does not fix coset 0"
+    if any(table.trace(0, w) != 0 for w in subgroup_words):
+        return "subgroup word does not fix coset 0"
     return None
 
 
 def prove_table(pres, table, subgroup_words=()):
     """Prove the table before it is handed out: raise InternalError
     naming the first fault _table_fault finds against ``pres``."""
-    fault = _table_fault(table, _relator_columns(pres),
-                         [word_to_columns(w) for w in subgroup_words])
+    fault = _table_fault(table, _relator_columns(pres), subgroup_words)
     if fault is not None:
         raise InternalError(fault)
 
 
 def coset_action(table):
     """One permutation per generator, acting on the coset space."""
-    from .permgroup import Perm
-    perms = []
-    for g in range(table.num_generators):
-        perms.append(Perm([row[2 * g] for row in table.action]))
-    return perms
+    return [Perm(col) for col in table.columns[::2]]
 
 
 def relators_close(pres, table):

@@ -28,10 +28,12 @@ ROTATION = "rotation"
 KINDS = {REFLECTION: ("r", 0), ROTATION: ("s", 1)}
 
 # Input bounds, checked before anything is expanded, so that a few bytes
-# of input cannot ask for gigabytes: letters in one product or power of
-# words, and generators in one presentation.
+# of input cannot ask for gigabytes or a deep recursion: letters in one
+# product or power of words, generators in one presentation, and levels
+# of brackets open at once in one word.
 MAX_WORD_LETTERS = 1_000_000
 MAX_GENERATORS = 64
+MAX_NESTING = 100
 
 
 class PresentationError(Exception):
@@ -309,6 +311,7 @@ class _WordParser:
     def __init__(self, text, kind, num_generators):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # brackets open around the current token
         self.kind = kind
         self.ngens = num_generators
 
@@ -348,15 +351,22 @@ class _WordParser:
 
     def parse_atom(self):
         tok, pos = self.take()
+        if tok in ("(", "[") and self.depth == MAX_NESTING:
+            raise PresentationError(
+                f"brackets nested deeper than {MAX_NESTING} (position {pos})")
         if tok == "(":
+            self.depth += 1
             w = self.parse_word(stop=(")",))
             self.expect(")", "unclosed parenthesis")
+            self.depth -= 1
             return w
         if tok == "[":
+            self.depth += 1
             a = self.parse_word(stop=(",",))
             self.expect(",", "commutator needs two parts")
             b = self.parse_word(stop=("]",))
             self.expect("]", "unclosed commutator")
+            self.depth -= 1
             return commutator(a, b)
         if tok[0] in "rs":
             letter, offset = KINDS[self.kind]

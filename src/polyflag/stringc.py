@@ -11,7 +11,8 @@ out of the coset enumeration: a subgroup's elements are exactly the orbit
 of the trivial coset under its generators, so subgroup orders and
 pairwise intersections are plain orbit computations, cached per set of
 generating words.  RegularGroup holds that representation and cache for
-string groups and rotation groups alike.
+string groups and rotation groups alike, and only its from_table gives a
+group the table its generators act by.
 """
 
 from __future__ import annotations
@@ -89,12 +90,13 @@ class RegularGroup:
     (``check_shape``).  The stabilizer of the base i-face is the
     subgroup of every rank but i, for both classes.  Only from_table
     gives a group a table, the one its generators act by; a section or
-    a mirror holds None.
+    a mirror keeps the class's None.
     """
 
-    def __init__(self, pres, table, gens):
+    table = None
+
+    def __init__(self, pres, gens):
         self.pres = pres
-        self.table = table
         self.gens = gens
         self._orbits = {}
         self._schlafli = None
@@ -108,7 +110,8 @@ class RegularGroup:
         """The group of a proved regular action table: its generators'
         action, once the class's shape check (``check_shape``) passes.
         Every builder and the dual return through here."""
-        group = cls(pres, table, coset_action(table))
+        group = cls(pres, coset_action(table))
+        group.table = table
         group.check_shape()
         return group
 
@@ -135,7 +138,7 @@ class RegularGroup:
         if not 0 <= lo <= hi < len(self.gens):
             raise ValueError(f"need 0 <= lo <= hi < {len(self.gens)}, "
                              f"got ({lo}, {hi})")
-        return type(self)(None, None, self.gens[lo:hi + 1])
+        return type(self)(None, self.gens[lo:hi + 1])
 
     def schlafli_symbol(self):
         """Orders of the rotations, computed once per group: the action
@@ -213,24 +216,23 @@ def build_string_group(pres, max_cosets=DEFAULT_MAX_COSETS):
 def dual(group):
     """The dual's group, string or rotation: generator i of the dual is
     generator n-1-i inverted, so s_1..s_m become s_m^-1..s_1^-1 and a
-    string of reflections is just reversed.  No re-enumeration: each row
-    of the regular action is read backwards (column x becomes 2n-1-x), the
-    table is proved against the relators, each rewritten as its inverse in
-    the new generators, and from_table runs the shape check.  A section
-    has neither presentation nor table, so its dual is just the reversed,
-    inverted generators.  dual(dual(g)) equals g.
+    string of reflections is just reversed.  No re-enumeration: the
+    columns of the regular action are taken in reverse order (column x
+    becomes 2n-1-x), the table is proved against the relators, each
+    rewritten as its inverse in the new generators, and from_table runs
+    the shape check.  A section has neither presentation nor table, so
+    its dual is just the reversed, inverted generators.  dual(dual(g))
+    equals g.
     """
     if group.pres is None:
-        return type(group)(None, None,
-                           [g.inverse() for g in reversed(group.gens)])
+        return type(group)(None, [g.inverse() for g in reversed(group.gens)])
     pres, n = group.pres, group.pres.num_generators
     sym = pres.declared_schlafli
     relabel = [Word.gen(n - 1 - g).inverse() for g in range(n)]
     relators = tuple(w.substitute(relabel).inverse() for w in pres.relators)
     new_pres = replace(pres, relators=relators,
                        declared_schlafli=sym and tuple(reversed(sym)))
-    table = replace(group.table,
-                    action=tuple(row[::-1] for row in group.table.action))
+    table = replace(group.table, columns=group.table.columns[::-1])
     prove_table(new_pres, table)
     return type(group).from_table(new_pres, table)
 

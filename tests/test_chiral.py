@@ -274,9 +274,9 @@ def test_mirror_holds_no_table(monkeypatch):
     made = []
     init = RotationGroup.__init__
 
-    def spy(self, pres, table, gens):
-        made.append((pres, table))
-        init(self, pres, table, gens)
+    def spy(self, pres, gens):
+        init(self, pres, gens)
+        made.append((pres, self.table))
 
     monkeypatch.setattr(RotationGroup, "__init__", spy)
     assert mixed_regular_cover_flags(group) == 200
@@ -369,7 +369,7 @@ def test_dual_rejects_a_table_its_relators_do_not_close():
         num_generators=2, kind=ROTATION,
         relators=group.pres.relators + (Word.gen(0),),
         declared_schlafli=group.pres.declared_schlafli)
-    broken = RotationGroup(pres, group.table, group.gens)
+    broken = RotationGroup.from_table(pres, group.table)
     with pytest.raises(InternalError, match="relator 4 does not close"):
         dual(broken)
 

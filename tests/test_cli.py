@@ -1,7 +1,11 @@
 """Exit codes and output shapes of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +164,45 @@ def test_analyze_word_errors_name_their_line(tmp_path, capsys, line,
     assert err.startswith("parse error: line 4: ")
     assert fragment in err
     assert "position -1" not in err
+
+
+def nested_file(tmp_path, depth):
+    """[3,3] with a redundant relator inside ``depth`` parentheses."""
+    path = tmp_path / f"nested-{depth}.txt"
+    path.write_text("rank 3\nkind reflection\nschlafli 3 3\n"
+                    f"rel {'(' * depth}r0 r1{')' * depth}^3\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("depth, code", [(100, 0), (101, 3), (5000, 3)])
+def test_analyze_nesting_bound_exits_without_traceback(tmp_path, depth,
+                                                       code):
+    # the word parser recurses once per bracket, so a deep word is
+    # refused as input instead of overflowing the stack; run in a fresh
+    # interpreter so that stderr is exactly what a user sees
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "polyflag", "analyze",
+         nested_file(tmp_path, depth)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    if code == 3:
+        assert done.stdout == ""
+        assert done.stderr.startswith("parse error: line 4: ")
+        assert "nested deeper than 100" in done.stderr
+
+
+def test_analyze_non_utf8_input_exits_3(tmp_path, capsys):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(b"rank 3\nkind reflection\nrel r0 \xff\xfe\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert err == "parse error: not UTF-8: byte 0xff at offset 30\n"
+    # a file that cannot be read at all stays an OSError, exit 1
+    code, _, err = run(capsys, "analyze", str(tmp_path / "missing.txt"))
+    assert code == 1 and err.startswith("error: ")
 
 
 def test_analyze_coset_limit_flag(tmp_path, capsys):

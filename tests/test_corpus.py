@@ -108,7 +108,7 @@ def test_recursive_verdict_matches_exhaustive(name, built_groups):
 
 def rotation_part(group):
     """The rotations r_{i-1} r_i of a string group, on its points."""
-    return RotationGroup(None, None, group.rotations())
+    return RotationGroup(None, group.rotations())
 
 
 @pytest.mark.parametrize("name", [n for n in REFLECTION_NAMES

@@ -294,10 +294,9 @@ def test_closed_trace_marks_follow_compaction(monkeypatch):
 
 
 def corrupt(table, coset, column, value):
-    action = [list(row) for row in table.action]
-    action[coset][column] = value
-    return type(table)(table.num_generators, table.num_cosets,
-                       tuple(map(tuple, action)))
+    columns = [list(col) for col in table.columns]
+    columns[column][coset] = value
+    return type(table)(tuple(map(tuple, columns)))
 
 
 def relator_columns(pres):

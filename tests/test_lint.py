@@ -80,51 +80,64 @@ def test_no_private_names_imported_across_modules():
     assert found == []
 
 
-_GROUP_CLASSES = {"StringGroup", "RotationGroup", "RegularGroup", "cls"}
+def _assigned(stmt):
+    """The targets an assignment statement binds, or [] for any other
+    node."""
+    if isinstance(stmt, ast.Assign):
+        return stmt.targets
+    if isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        return [stmt.target]
+    return []
 
 
-def _table_argument(call):
-    """The table argument of a group constructor call (a call to a group
-    class, to ``cls`` or to ``type(...)``), or None for any other call."""
-    func = call.func
-    if isinstance(func, ast.Call):  # type(group)(...)
-        func = func.func if isinstance(func.func, ast.Name) else None
-        makes_group = func is not None and func.id == "type"
-    else:
-        makes_group = isinstance(func, ast.Name) and func.id in _GROUP_CLASSES
-    if not makes_group:
-        return None
-    if len(call.args) >= 2:
-        return call.args[1]
-    return next((k.value for k in call.keywords if k.arg == "table"), None)
-
-
-def _tables_passed(node, scope=()):
-    """Line numbers of group constructor calls under node that pass a
-    table other than the literal None outside RegularGroup.from_table."""
+def _table_assignments(node, scope=()):
+    """Line numbers of assignments under node to an attribute named
+    ``table`` (``x.table = ...``, ``setattr(x, "table", ...)`` or a
+    class-body ``table = ...``), outside RegularGroup.from_table and
+    RegularGroup's own ``table = None``."""
     if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
         scope = scope + (node.name,)
-    found = []
-    if isinstance(node, ast.Call):
-        table = _table_argument(node)
-        if (table is not None
-                and not (isinstance(table, ast.Constant)
-                         and table.value is None)
-                and scope[-2:] != ("RegularGroup", "from_table")):
-            found.append(node.lineno)
+    if scope[-2:] == ("RegularGroup", "from_table"):
+        return []
+    found = [node.lineno for target in _assigned(node)
+             for sub in ast.walk(target)
+             if isinstance(sub, ast.Attribute) and sub.attr == "table"]
+    if (isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "setattr"
+            and len(node.args) > 1
+            and getattr(node.args[1], "value", None) == "table"):
+        found.append(node.lineno)
+    if isinstance(node, ast.ClassDef):
+        found.extend(
+            stmt.lineno for stmt in node.body
+            if any(getattr(t, "id", None) == "table" for t in _assigned(stmt))
+            and not (node.name == "RegularGroup"
+                     and isinstance(stmt.value, ast.Constant)
+                     and stmt.value.value is None))
     for child in ast.iter_child_nodes(node):
-        found.extend(_tables_passed(child, scope))
+        found.extend(_table_assignments(child, scope))
     return found
 
 
 def test_only_from_table_gives_a_group_a_table():
-    # a group holds a table only when its generators act by it, so a
-    # constructor call may pass one only inside RegularGroup.from_table;
-    # sections and mirrors pass the literal None
+    # a group holds a table only when its generators act by it, so only
+    # RegularGroup.from_table sets one; sections and mirrors keep the
+    # class attribute None
     paths = sorted(SRC.rglob("*.py"))
     assert len(paths) > 5
     found = [f"{path.relative_to(SRC)}:{line}" for path in paths
-             for line in _tables_passed(ast.parse(path.read_text()))]
+             for line in _table_assignments(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_no_library_module_reads_the_row_view():
+    # CosetTable.action is the row view for callers outside the library;
+    # the library reads a table by its columns
+    paths = sorted(SRC.rglob("*.py"))
+    assert len(paths) > 5
+    found = [f"{path.relative_to(SRC)}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "action"]
     assert found == []
 
 

@@ -14,7 +14,7 @@ from polyflag.presentation import (
     Word, EMPTY, commutator, Presentation, PresentationError,
     REFLECTION, ROTATION, coxeter_relators, coxeter_order, rotation_relators,
     make_presentation, parse_word, parse_presentation,
-    serialize_presentation, MAX_WORD_LETTERS, MAX_GENERATORS,
+    serialize_presentation, MAX_WORD_LETTERS, MAX_GENERATORS, MAX_NESTING,
 )
 
 SWEEP_EXPECTED = (Path(__file__).resolve().parent.parent / "perfbench"
@@ -193,6 +193,19 @@ def test_generator_count_limit():
     # refused before the 10^8 commutators of a central word are expanded
     with pytest.raises(PresentationError, match="exceed the limit"):
         make_presentation(REFLECTION, 10 ** 8, central_words=[Word.gen(0)])
+
+
+def test_bracket_nesting_limit():
+    # the parser recurses once per open bracket, so depth is bounded
+    deep = "(" * MAX_NESTING + "r0 r1" + ")" * MAX_NESTING
+    assert parse_word(deep, REFLECTION, 2) == Word.gen(0) * Word.gen(1)
+    for depth in (MAX_NESTING + 1, 5000):
+        for word in ("(" * depth + "r0" + ")" * depth,
+                     "[" * depth + "r0, r1" + "]" * depth):
+            with pytest.raises(PresentationError,
+                               match=f"nested deeper than {MAX_NESTING} "
+                                     f"\\(position {MAX_NESTING}\\)"):
+                parse_word(word, REFLECTION, 2)
 
 
 def test_rotation_rank_offset():
