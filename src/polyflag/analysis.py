@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .permgroup import word_image
 from .stringc import is_string_c_group
 
 
@@ -114,16 +113,14 @@ def is_degenerate(group):
 def covering_exists(cover_pres, target):
     """Does sending generators to generators define a homomorphism onto
     the target group?  True exactly when every relator of the proposed
-    cover evaluates to the identity in the target's faithful
-    representation; for string C-groups this witnesses a covering of the
-    corresponding polytopes.  Presentations of another kind than the
-    target's class, or of another rank, never qualify; the target needs
-    no presentation of its own, so a section works too.
+    cover is trivial in the target; for string C-groups this witnesses
+    a covering of the corresponding polytopes.  Presentations of another
+    kind than the target's class, or of another rank, never qualify; the
+    target needs no presentation of its own, so a section works too.
     """
     if cover_pres.kind != target.kind or cover_pres.rank != target.rank:
         return False
-    return all(word_image(target.gens, w).is_identity()
-               for w in cover_pres.relators)
+    return all(target.is_trivial(w) for w in cover_pres.relators)
 
 
 def audit_counting_propositions(report):
@@ -173,7 +170,7 @@ def analyze(group):
         c_group=verdict.ok,
         c_group_witness=verdict.witness,
         flat_pairs=flats,
-        is_flat=is_flat(group),
+        is_flat=(0, group.rank - 1) in flats,
         is_tight=is_tight(group),
         is_degenerate=is_degenerate(group),
         audit_violations=(),

@@ -45,7 +45,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .presentation import Word, ROTATION, make_presentation
-from .coset_enum import enumerate_cosets, pair_orbit_table, DEFAULT_MAX_COSETS
+from .coset_enum import (enumerate_cosets, pair_orbit_table, InternalError,
+                         DEFAULT_MAX_COSETS)
 from .stringc import RegularGroup, dual, is_string_c_group
 from .analysis import FlagBound, f_vector, flatness_spectrum, is_tight
 from .constructions import (torus_kind, check_torus_params, torus_order,
@@ -65,6 +66,7 @@ class RotationGroup(RegularGroup):
     """A finite rotation group; each element stands for two flags."""
 
     kind = ROTATION
+    violation = RotationViolation
 
     def rotations(self):
         return self.gens
@@ -80,24 +82,18 @@ class RotationGroup(RegularGroup):
         return self.word_orbit(Word(tuple((j, 1) for j in range(a, b)))
                                for a, b in zip(ranks, ranks[1:]))
 
-    def check_shape(self):
-        """Raise RotationViolation naming the failed relation unless
-        every (s_i s_{i+1} ... s_j)^2 with i < j holds in the image and
-        any declared periods are attained."""
-        gens = self.gens
-        m = self.pres.num_generators
-        declared = self.pres.declared_schlafli or ()
+    def shape_clause(self):
+        """The declared periods, if any, are attained."""
+        declared = (self.pres and self.pres.declared_schlafli) or ()
         for i, (p, k) in enumerate(zip(declared, self.schlafli_symbol())):
             if p is not None and k != p:
                 raise RotationViolation(
                     f"s{i + 1} has order {k}, declared {p}")
-        for i in range(m):
-            prod = gens[i]
-            for j in range(i + 1, m):
-                prod = prod * gens[j]
-                if not (prod * prod).is_identity():
-                    raise RotationViolation(
-                        f"(s{i + 1}...s{j + 1})^2 is not the identity")
+
+    def shape_fault(self, word):
+        """The message for a failed (s_i...s_j)^2."""
+        (i, _), (j, _) = word.letters[0], word.letters[len(word) // 2 - 1]
+        return f"(s{i + 1}...s{j + 1})^2 is not the identity"
 
 
 def build_rotation_group(pres, max_cosets=DEFAULT_MAX_COSETS):
@@ -148,8 +144,8 @@ def enantiomorph(group, max_cosets=DEFAULT_MAX_COSETS):
     pres = replace(group.pres, relators=tuple(
         w.substitute(images) for w in group.pres.relators))
     out = build_rotation_group(pres, max_cosets)
-    if out.order != group.order:
-        raise RotationViolation("mirror image changed the group order")
+    if out.order != group.order:  # an automorphism of the free group
+        raise InternalError("mirror image changed the group order")
     return out
 
 

@@ -251,7 +251,7 @@ def _corpus_reports(args, wanted):
 
 
 def _verify_table3(args, results):
-    lo, hi = _parse_rank_range(args.rank, (3, 8))
+    lo, hi = _parse_rank_range(args.rank, (3, 16))
     for rank, fk, vk, value, attained in _TABLE3_CELLS:
         if not lo <= rank <= hi:
             continue
@@ -262,15 +262,17 @@ def _verify_table3(args, results):
         print(f"table3 rank {rank} {fk[0]}{vk[0]}:"
               f" {'' if attained else '>= '}{value}"
               f" {'ok' if ok else 'FAIL'}")
-    if hi >= 8:
-        for n in range(8, 17):
-            cc = chiral_lower_bound(n, "chiral", "chiral").value
-            cr = chiral_lower_bound(n, "chiral", "regular").value
-            rr = chiral_lower_bound(n, "regular", "regular").value
-            results.append({"rank": n, "chain": [cc, cr, rr],
-                            "ok": cc < cr < rr})
-        print(f"table3 bound ordering cc < cr < rr for ranks 8..16:"
-              f" {'ok' if all(r['ok'] for r in results[-9:]) else 'FAIL'}")
+    chain = range(max(8, lo), min(16, hi) + 1)  # the closed forms' ranks
+    for n in chain:
+        cc = chiral_lower_bound(n, "chiral", "chiral").value
+        cr = chiral_lower_bound(n, "chiral", "regular").value
+        rr = chiral_lower_bound(n, "regular", "regular").value
+        results.append({"rank": n, "chain": [cc, cr, rr],
+                        "ok": cc < cr < rr})
+    if chain:
+        held = all(r["ok"] for r in results[-len(chain):])
+        print(f"table3 bound ordering cc < cr < rr for ranks"
+              f" {chain[0]}..{chain[-1]}: {'ok' if held else 'FAIL'}")
     for name, _, payload, expected in _corpus_reports(
             args, lambda p: p.kind != REFLECTION and lo <= p.rank <= hi):
         check = payload["bound_check"]

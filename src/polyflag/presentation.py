@@ -81,22 +81,43 @@ class Word:
     def __post_init__(self):
         object.__setattr__(self, "letters", free_reduce(tuple(self.letters)))
 
+    @classmethod
+    def _reduced(cls, letters):
+        """The word of letters already freely reduced, taken as they are."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     @staticmethod
     def gen(i):
         return Word(((i, 1),))
 
     def __mul__(self, other):
+        """The product; two reduced words can cancel only at the join."""
         _check_size(len(self) + len(other))
-        return Word(self.letters + other.letters)
+        a, b = self.letters, other.letters
+        k = 0
+        while k < min(len(a), len(b)) and a[-1 - k] == (b[k][0], -b[k][1]):
+            k += 1
+        return Word._reduced(a[:len(a) - k] + b[k:])
 
     def inverse(self):
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return Word._reduced(
+            tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __pow__(self, k):
+        """The k-th power.  A reduced word is u v u^-1 with v cyclically
+        reduced (its last letter does not cancel its first), so for
+        k > 0 the power u v^k u^-1 needs no reduction."""
         _check_size(len(self) * abs(k))
         if k < 0:
             return self.inverse() ** (-k)
-        return Word(self.letters * k)
+        if k == 0:
+            return EMPTY
+        a, t = self.letters, 0
+        while 2 * t + 1 < len(a) and a[t] == (a[-1 - t][0], -a[-1 - t][1]):
+            t += 1
+        return Word._reduced(a[:t] + a[t:len(a) - t] * k + a[len(a) - t:])
 
     def substitute(self, images):
         """The image under the free-group homomorphism sending generator
@@ -230,10 +251,7 @@ def rotation_relators(rank, schlafli):
             rels.append(Word.gen(i) ** p)
     for i in range(rank - 1):
         for j in range(i + 1, rank - 1):
-            w = EMPTY
-            for k in range(i, j + 1):
-                w = w * Word.gen(k)
-            rels.append(w ** 2)
+            rels.append(Word(tuple((k, 1) for k in range(i, j + 1))) ** 2)
     return rels
 
 
@@ -242,10 +260,12 @@ def central_relators(w, num_generators):
     return [commutator(w, Word.gen(j)) for j in range(num_generators)]
 
 
-def _schlafli_relators(kind, rank, schlafli):
-    if kind == REFLECTION:
-        return coxeter_relators(rank, schlafli)
-    return rotation_relators(rank, schlafli)
+def shape_relators(kind, rank, schlafli=None):
+    """A kind's relator families at this rank, with a Schlafli symbol's
+    periods.  With none, every period unbounded, they are the kind's
+    shape: r_i^2 and (r_i r_j)^2 for j > i + 1, or (s_i...s_j)^2."""
+    families = coxeter_relators if kind == REFLECTION else rotation_relators
+    return families(rank, schlafli or (None,) * (rank - 1))
 
 
 def make_presentation(kind, rank, schlafli=None, extra_relators=(),
@@ -264,8 +284,7 @@ def make_presentation(kind, rank, schlafli=None, extra_relators=(),
         for p in schlafli:
             if p is not None and p < 2:
                 raise PresentationError("schlafli entries must be >= 2")
-    rels = (list(_schlafli_relators(kind, rank, schlafli))
-            if schlafli is not None else [])
+    rels = [] if schlafli is None else shape_relators(kind, rank, schlafli)
     rels.extend(extra_relators)
     for w in central_words:
         # a commutator with the word itself can cancel freely; that carries
@@ -460,8 +479,8 @@ def serialize_presentation(pres):
     if pres.declared_schlafli is not None:
         lines.append("schlafli " + " ".join(
             "inf" if p is None else str(p) for p in pres.declared_schlafli))
-        for w in _schlafli_relators(pres.kind, pres.rank,
-                                    pres.declared_schlafli):
+        for w in shape_relators(pres.kind, pres.rank,
+                                pres.declared_schlafli):
             surplus[w.letters] -= 1
     prefix, offset = KINDS[pres.kind]
     for letters, count in surplus.items():

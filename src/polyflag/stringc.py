@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .presentation import (Word, KINDS, REFLECTION, coxeter_order,
-                           coxeter_relators)
+                           coxeter_relators, shape_relators)
 from .coset_enum import (enumerate_cosets, coset_action, prove_table,
                          CosetLimitExceeded, InternalError,
                          DEFAULT_MAX_COSETS)
@@ -69,11 +69,12 @@ class IntersectionWitness:
 
 @dataclass(frozen=True)
 class CGroupVerdict:
-    ok: bool
     witness: IntersectionWitness | None = None
 
     def __bool__(self):
-        return self.ok
+        return self.witness is None
+
+    ok = property(__bool__)
 
 
 class RegularGroup:
@@ -86,11 +87,11 @@ class RegularGroup:
     ``kind`` (so the rank), which elements the rotations are, how many
     flags there are, which words generate the subgroup of a set I of
     ranks (``parabolic_orbit``: the reflections r_i, or the rotations
-    r_a r_b, for i, a, b in I) and what shape the generators must have
-    (``check_shape``).  The stabilizer of the base i-face is the
-    subgroup of every rank but i, for both classes.  Only from_table
-    gives a group a table, the one its generators act by; a section or
-    a mirror keeps the class's None.
+    r_a r_b, for i, a, b in I) and how ``check_shape`` fails (its
+    ``violation``, ``shape_clause`` and ``shape_fault``).  The stabilizer
+    of the base i-face is the subgroup of every rank but i, for both
+    classes.  Only from_table gives a group a table, the one its
+    generators act by; a section or a mirror keeps the class's None.
     """
 
     table = None
@@ -121,6 +122,20 @@ class RegularGroup:
         if self.table is None:
             return len(orbit(self.gens, 0))
         return self.table.num_cosets
+
+    def is_trivial(self, word):
+        """Is the word the identity?  Every group here acts freely (a
+        built group regularly, a section or a mirror inside one), so
+        exactly when it fixes point 0."""
+        return word_image(self.gens, word)(0) == 0
+
+    def check_shape(self):
+        """Raise the class's violation if its own clause fails, or else
+        for the first word of the kind's scaffold that is not trivial."""
+        self.shape_clause()
+        for w in shape_relators(self.kind, self.rank):
+            if not self.is_trivial(w):
+                raise self.violation(self.shape_fault(w))
 
     def word_orbit(self, words):
         """Element set of the subgroup generated by the given words."""
@@ -161,6 +176,7 @@ class StringGroup(RegularGroup):
     """A finite string group; its elements are the flags."""
 
     kind = REFLECTION
+    violation = SggiViolation
 
     def rotations(self):
         return [self.gens[i - 1] * self.gens[i]
@@ -173,23 +189,18 @@ class StringGroup(RegularGroup):
         """Element set of the subgroup those generators produce."""
         return self.word_orbit(Word.gen(i) for i in subset)
 
-    def check_shape(self):
-        """Raise SggiViolation naming the first failed condition: a
-        generator collapsing or losing its involution, or a distant pair
-        failing to commute."""
-        gens = self.gens
-        n = self.pres.num_generators
-        for i, g in enumerate(gens):
-            if g.is_identity():
+    def shape_clause(self):
+        """No generator collapses to the identity."""
+        for i in range(len(self.gens)):
+            if self.is_trivial(Word.gen(i)):
                 raise SggiViolation(
                     f"generator r{i} collapses to the identity")
-            if not (g * g).is_identity():
-                raise SggiViolation(f"generator r{i} is not an involution")
-        for i in range(n):
-            for j in range(i + 2, n):
-                if not (gens[i] * gens[j] * gens[i] * gens[j]).is_identity():
-                    raise SggiViolation(
-                        f"generators r{i} and r{j} do not commute")
+
+    def shape_fault(self, word):
+        """The message for a failed r_i r_i or r_i r_j r_i r_j."""
+        (i, _), (j, _) = word.letters[:2]
+        return (f"generator r{i} is not an involution" if i == j
+                else f"generators r{i} and r{j} do not commute")
 
 
 def build_string_group(pres, max_cosets=DEFAULT_MAX_COSETS):
@@ -277,11 +288,11 @@ def is_string_c_group(group):
     n = group.rank
     if all(window_holds(group, lo, lo + width - 1)
            for width in range(2, n + 1) for lo in range(n - width + 1)):
-        return CGroupVerdict(True)
+        return CGroupVerdict()
     witness = _witness_scan(group)
     if witness is None:  # a window said no but no small witness: impossible
         raise InternalError("inconsistent intersection verdicts")
-    return CGroupVerdict(False, witness)
+    return CGroupVerdict(witness)
 
 
 def intersection_condition_exhaustive(group):
@@ -290,5 +301,4 @@ def intersection_condition_exhaustive(group):
 
     Quadratic in the number of subsets, usable for small groups only.
     """
-    witness = _witness_scan(group)
-    return CGroupVerdict(witness is None, witness)
+    return CGroupVerdict(_witness_scan(group))

@@ -357,7 +357,7 @@ def test_enantiomorph_order_change_raises(monkeypatch):
         return out
 
     monkeypatch.setattr(chiral, "build_rotation_group", shrunk)
-    with pytest.raises(RotationViolation,
+    with pytest.raises(InternalError,
                        match="mirror image changed the group order"):
         enantiomorph(group)
 

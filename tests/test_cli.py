@@ -240,6 +240,7 @@ def test_analyze_infinite_coxeter_fails_fast(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     "rank 3\nkind reflection\nrel r0^1000000000\n",
     "rank 3\nkind reflection\nrel " + "r0^1000000 " * 5 + "\n",
+    "rank 3\nkind reflection\nrel " + "(r0 r1 r0-)^333333 " * 5 + "\n",
     "rank 3\nkind reflection\nschlafli 3 1000000000\n",
     "rank 100000000\nkind reflection\n",
     "rank 100000000\nkind reflection\ncentral r0\n",
@@ -484,6 +485,33 @@ def test_verify_table3_rank4(capsys):
     code, out, _ = run(capsys, "verify", "table3", "--rank", "4")
     assert code == 0
     assert "table3: 4 checks, 0 failures" in out
+
+
+@pytest.mark.parametrize("rank", ["20", "17..20"])
+def test_verify_table3_past_the_chain_selects_nothing(capsys, rank):
+    code, out, err = run(capsys, "verify", "table3", "--rank", rank)
+    assert code == 1
+    assert "table3: 0 checks, 0 failures" in out
+    assert f"error: table3 --rank {rank} selects no checks" in err
+
+
+def test_verify_table3_chain_follows_the_rank_range(capsys):
+    code, out, _ = run(capsys, "verify", "table3", "--rank", "8")
+    assert code == 0
+    assert "table3 bound ordering cc < cr < rr for ranks 8..8: ok" in out
+    assert "table3: 4 checks, 0 failures" in out
+    code, out, _ = run(capsys, "verify", "table3", "--rank", "12..30")
+    assert code == 0
+    assert "for ranks 12..16: ok" in out
+    assert "table3: 5 checks, 0 failures" in out
+    code, out, _ = run(capsys, "verify", "table3", "--rank", "3..7")
+    assert "bound ordering" not in out
+
+
+def test_verify_table3_default_range_is_3_to_16(capsys):
+    default = run(capsys, "verify", "table3")
+    assert default == run(capsys, "verify", "table3", "--rank", "3..16")
+    assert "for ranks 8..16: ok" in default[1]
 
 
 def test_verify_props(capsys):

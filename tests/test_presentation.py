@@ -13,8 +13,9 @@ from polyflag.coset_enum import enumerate_cosets
 from polyflag.presentation import (
     Word, EMPTY, commutator, Presentation, PresentationError,
     REFLECTION, ROTATION, coxeter_relators, coxeter_order, rotation_relators,
-    make_presentation, parse_word, parse_presentation,
-    serialize_presentation, MAX_WORD_LETTERS, MAX_GENERATORS, MAX_NESTING,
+    free_reduce, shape_relators, make_presentation, parse_word,
+    parse_presentation, serialize_presentation, MAX_WORD_LETTERS,
+    MAX_GENERATORS, MAX_NESTING,
 )
 
 SWEEP_EXPECTED = (Path(__file__).resolve().parent.parent / "perfbench"
@@ -70,6 +71,17 @@ def test_word_times_inverse_cancels(ls):
 @given(letters, letters)
 def test_product_length_bound(a, b):
     assert len(word(a) * word(b)) <= len(word(a)) + len(word(b))
+
+
+@given(letters, letters, st.integers(-4, 4))
+def test_products_and_powers_are_freely_reduced(a, b, k):
+    # reduced words are joined and powered without a second reduction
+    u, v = word(a), word(b)
+    assert (u * v).letters == free_reduce(u.letters + v.letters)
+    base = u if k >= 0 else u.inverse()
+    assert (u ** k).letters == free_reduce(base.letters * abs(k))
+    assert u.inverse().letters == free_reduce(
+        tuple((g, -e) for g, e in reversed(a)))
 
 
 @given(letters, letters, letters)
@@ -154,6 +166,20 @@ def test_rotation_relator_count():
     assert len(rels) == 2 + 1
     rels = rotation_relators(4, (3, 3, 8))
     assert len(rels) == 3 + 3
+
+
+def test_shape_relators_are_the_scaffold():
+    # every period unbounded leaves only the shape, in checking order
+    r = [Word.gen(i) for i in range(3)]
+    assert shape_relators(REFLECTION, 3) == [
+        r[0] ** 2, r[1] ** 2, r[2] ** 2, (r[0] * r[2]) ** 2]
+    assert shape_relators(ROTATION, 4) == [
+        (r[0] * r[1]) ** 2, (r[0] * r[1] * r[2]) ** 2, (r[1] * r[2]) ** 2]
+    assert shape_relators(ROTATION, 2) == []
+    assert shape_relators(REFLECTION, 4, (3, None, 5)) == \
+        coxeter_relators(4, (3, None, 5))
+    assert shape_relators(ROTATION, 4, (3, 3, 8)) == \
+        rotation_relators(4, (3, 3, 8))
 
 
 def test_make_presentation_validates():

@@ -1,18 +1,24 @@
 """String group construction, the intersection condition, duality."""
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyflag import stringc
 from polyflag.corpus import load_entry
-from polyflag.coset_enum import CosetLimitExceeded, enumerate_cosets
+from polyflag.coset_enum import (CosetLimitExceeded, coset_action,
+                                 enumerate_cosets)
+from polyflag.permgroup import word_image
 from polyflag.presentation import (Word, Presentation, make_presentation,
                                    REFLECTION, ROTATION)
 from polyflag.stringc import (
     SggiViolation, CoxeterLimitExceeded, StringGroup, build_string_group,
     is_string_c_group, intersection_condition_exhaustive, dual,
 )
-from polyflag.chiral import (RotationGroup, build_rotation_group,
-                             rotation_torus_map)
+from polyflag.chiral import (RotationGroup, RotationViolation,
+                             build_rotation_group, rotation_torus_map,
+                             _mirror_images)
 
 
 def cox(*periods):
@@ -262,3 +268,139 @@ def test_attained_symbol_can_drop_below_declared():
     group = build_string_group(pres)
     assert group.pres.declared_schlafli == (4,)
     assert group.schlafli_symbol() == (2,)
+
+
+# -- the shape check, against the two loops it replaced ----------------------
+
+def reference_sggi_faults(group):
+    """Every failed string-group condition, in the order the old
+    StringGroup.check_shape loop met them: per generator a collapse or a
+    lost involution, then the distant pairs that fail to commute."""
+    gens, n = group.gens, len(group.gens)
+    faults = []
+    for i, g in enumerate(gens):
+        if g.is_identity():
+            faults.append(f"generator r{i} collapses to the identity")
+        if not (g * g).is_identity():
+            faults.append(f"generator r{i} is not an involution")
+    for i in range(n):
+        for j in range(i + 2, n):
+            if not (gens[i] * gens[j] * gens[i] * gens[j]).is_identity():
+                faults.append(f"generators r{i} and r{j} do not commute")
+    return faults
+
+
+def reference_rotation_faults(group):
+    """Every failed rotation-shape condition, in the order the old
+    RotationGroup.check_shape loop met them: a declared period not
+    attained, then each (s_i...s_j)^2 that is not the identity."""
+    gens, m = group.gens, len(group.gens)
+    declared = group.pres.declared_schlafli if group.pres else None
+    faults = [f"s{i + 1} has order {k}, declared {p}"
+              for i, (p, k) in enumerate(zip(declared or (),
+                                             group.schlafli_symbol()))
+              if p is not None and k != p]
+    for i in range(m):
+        prod = gens[i]
+        for j in range(i + 1, m):
+            prod = prod * gens[j]
+            if not (prod * prod).is_identity():
+                faults.append(f"(s{i + 1}...s{j + 1})^2 is not the identity")
+    return faults
+
+
+def assert_shape_check_matches_reference(group):
+    """check_shape raises exactly when the reference finds a fault, with
+    the class's violation, naming one of the faults, and naming the
+    reference's when it is the only one."""
+    if isinstance(group, StringGroup):
+        faults, violation = reference_sggi_faults(group), SggiViolation
+    else:
+        faults, violation = reference_rotation_faults(group), RotationViolation
+    if not faults:
+        group.check_shape()
+        return
+    with pytest.raises(violation) as info:
+        group.check_shape()
+    assert type(info.value) is violation
+    assert str(info.value) in faults
+    if len(faults) == 1:
+        assert str(info.value) == faults[0]
+
+
+def test_shape_check_matches_the_loops_on_the_corpus(built_groups):
+    assert len(built_groups) == 22
+    for name, group in built_groups.items():
+        m = len(group.gens)
+        groups = [group]
+        if m >= 2:  # the facet and the vertex-figure
+            groups += [group.section(0, m - 2), group.section(1, m - 1)]
+        for g in groups:
+            assert_shape_check_matches_reference(g)
+
+
+words_drawn = st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=10)
+
+
+@st.composite
+def shape_presentations(draw):
+    """A reflection or rotation presentation with no schlafli line: a
+    small period for each generator and for each product the shape
+    constrains (every pair of reflections, every run s_i...s_j), mostly
+    those of a valid shape, and perhaps one random relator."""
+    kind = draw(st.sampled_from((REFLECTION, ROTATION)))
+    ngens = draw(st.integers(2, 4)) - (kind == ROTATION)
+    if kind == REFLECTION:
+        periods = st.sampled_from((2, 2, 2, 2, 1, 3))
+        runs = st.sampled_from((2, 2, 2, 3, 3, 4, 1))
+        products = [Word.gen(i) * Word.gen(j)
+                    for i in range(ngens) for j in range(i + 1, ngens)]
+    else:
+        periods = st.sampled_from((2, 3, 3, 4, 5))
+        runs = st.sampled_from((2, 2, 3, 3, 4))
+        products = [Word(tuple((k, 1) for k in range(i, j + 1)))
+                    for i in range(ngens) for j in range(i + 1, ngens)]
+    relators = [Word.gen(i) ** draw(periods) for i in range(ngens)]
+    relators += [w ** draw(runs) for w in products]
+    relators += [Word(tuple((g % ngens, e) for g, e in ls))
+                 for ls in draw(st.lists(words_drawn, max_size=1))]
+    return Presentation(num_generators=ngens, kind=kind,
+                        relators=tuple(w for w in relators if w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape_presentations())
+def test_shape_check_matches_the_loops_on_drawn_presentations(pres):
+    try:
+        table = enumerate_cosets(pres, (), max_cosets=200)
+    except CosetLimitExceeded:
+        return
+    cls = StringGroup if pres.kind == REFLECTION else RotationGroup
+    assert_shape_check_matches_reference(cls(pres, coset_action(table)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(words_drawn, min_size=1, max_size=4))
+def test_is_trivial_is_the_identity_test(built_groups, drawn):
+    for name, group in built_groups.items():
+        m = len(group.gens)
+        groups = [group, group.section(0, m - 1)]
+        if m >= 2:
+            groups += [group.section(0, m - 2), group.section(1, m - 1)]
+        if isinstance(group, RotationGroup):
+            groups.append(RotationGroup(None, _mirror_images(group)))
+        for g in groups:
+            n = len(g.gens)
+            for ls in drawn:
+                w = Word(tuple((i % n, e) for i, e in ls))
+                assert g.is_trivial(w) == \
+                    word_image(g.gens, w).is_identity(), name
+
+
+def test_verdict_is_its_witness(built_groups):
+    assert [f.name for f in fields(stringc.CGroupVerdict)] == ["witness"]
+    for name, group in built_groups.items():
+        for verdict in (is_string_c_group(group),
+                        intersection_condition_exhaustive(group)):
+            assert bool(verdict) == verdict.ok == (verdict.witness is None)

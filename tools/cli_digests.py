@@ -6,8 +6,10 @@ Usage: python3 tools/cli_digests.py CHECKOUT
 Runs a fixed list of commands, each in a fresh interpreter started in
 CHECKOUT with ``CHECKOUT/src`` on the path and ``POLYFLAG_MAX_COSETS``
 unset: ``python -m polyflag --json`` on a set of ``construct`` families,
-``analyze`` on every corpus file and the three ``verify`` suites, then
-each script in ``demos/``.  Each line gives the command, its exit code
+``analyze`` on every corpus file and on five small presentations that
+each fail one shape condition (written to a temporary directory), the
+three ``verify`` suites and ``verify table3 --rank 4``, then each script
+in ``demos/``.  Each line gives the command, its exit code
 and the first 16 hex digits of the SHA-256 of its stdout and of its
 stderr.  Run it on two checkouts (say, a ``git archive`` of the parent
 commit and the working tree) and diff the output: a change that keeps
@@ -18,6 +20,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 CONSTRUCT = (
@@ -26,18 +29,36 @@ CONSTRUCT = (
     "lambda 6 3 3", "amalgam coxeter:4,3 torus36:1,1", "named 4-cube",
     "coxeter 3 3",
 )
-VERIFY = ("table2", "table3", "props")
+VERIFY = ("table2", "table3", "props", "table3 --rank 4")
+# one presentation per shape message: name -> file text
+SHAPE_FAULTS = {
+    "non-involution": "rank 2\nkind reflection\nrel r0^3\nrel r1^2\n"
+                      "rel (r0 r1)^2\n",
+    "non-commuting": "rank 3\nkind reflection\nrel r0^2\nrel r1^2\n"
+                     "rel r2^2\nrel (r0 r1)^2\nrel (r1 r2)^2\n"
+                     "rel (r0 r2)^3\n",
+    "collapse": "rank 3\nkind reflection\nschlafli 2 2\nrel r1\n",
+    "rotation-product": "rank 3\nkind rotation\nrel s1^2\nrel s2^2\n"
+                        "rel (s1 s2)^3\n",
+    "rotation-period": "rank 3\nkind rotation\nschlafli 4 4\nrel s1^2\n",
+}
 
 
-def commands(root):
-    """(label, argv) pairs, in a fixed order."""
+def commands(root, scratch):
+    """(label, argv) pairs, in a fixed order; the shape-fault files are
+    written to the directory scratch."""
     cli = [sys.executable, "-m", "polyflag", "--json"]
     out = [(f"construct {params}", cli + ["construct", *params.split()])
            for params in CONSTRUCT]
     corpus = root / "src" / "polyflag" / "corpus"
     out += [(f"analyze {path.stem}", cli + ["analyze", str(path)])
             for path in sorted(corpus.glob("*.txt"))]
-    out += [(f"verify {suite}", cli + ["verify", suite]) for suite in VERIFY]
+    for name, text in SHAPE_FAULTS.items():
+        path = scratch / f"{name}.txt"
+        path.write_text(text)
+        out.append((f"analyze {name}", cli + ["analyze", str(path)]))
+    out += [(f"verify {suite}", cli + ["verify", *suite.split()])
+            for suite in VERIFY]
     out += [(f"demo {path.stem}", [sys.executable, str(path)])
             for path in sorted((root / "demos").glob("*.py"))]
     return out
@@ -56,11 +77,13 @@ def main(argv):
     env = {k: v for k, v in os.environ.items()
            if k not in ("POLYFLAG_MAX_COSETS", "PYTHONPATH")}
     env["PYTHONPATH"] = str(root / "src")
-    for label, cmd in commands(root):
-        done = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
-                              timeout=600)
-        print(f"{label}\texit {done.returncode}"
-              f"\tstdout {digest(done.stdout)}\tstderr {digest(done.stderr)}")
+    with tempfile.TemporaryDirectory() as scratch:
+        for label, cmd in commands(root, Path(scratch)):
+            done = subprocess.run(cmd, cwd=root, env=env,
+                                  capture_output=True, timeout=600)
+            print(f"{label}\texit {done.returncode}"
+                  f"\tstdout {digest(done.stdout)}"
+                  f"\tstderr {digest(done.stderr)}")
     return 0
 
 
