@@ -20,7 +20,7 @@ useful as test oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .stringc import is_string_c_group
 
@@ -52,22 +52,17 @@ class AnalysisReport:
     audit_violations: tuple
 
     def to_json(self):
-        out = {
-            "rank": self.rank,
-            "order": self.order,
-            "flag_count": self.flag_count,
-            "schlafli": list(self.schlafli),
-            "f_vector": list(self.f_vector),
-            "c_group": self.c_group,
-            "flat_pairs": [list(p) for p in self.flat_pairs],
-            "is_flat": self.is_flat,
-            "is_tight": self.is_tight,
-            "is_degenerate": self.is_degenerate,
-            "audit_violations": list(self.audit_violations),
-        }
-        if not self.c_group:  # the failing pair, as rank sets
+        """Every field, tuples as lists, in field order; the witness
+        comes last, as rank sets, and only when the verdict fails."""
+        out = {f.name: _listed(getattr(self, f.name)) for f in fields(self)
+               if f.name != "c_group_witness"}
+        if not self.c_group:
             out["c_group_witness"] = self.c_group_witness.rank_sets()
         return out
+
+
+def _listed(value):
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
 def f_vector(group):
@@ -157,8 +152,9 @@ def audit_counting_propositions(report):
 
 
 def analyze(group):
-    """Full report: counts, intersection-condition verdict, flatness
-    spectrum, tightness, and the counting-proposition audit."""
+    """Full report on a string or a rotation group: counts,
+    intersection-condition verdict, flatness spectrum, tightness, and
+    the counting-proposition audit."""
     verdict = is_string_c_group(group)
     flats = flatness_spectrum(group)
     report = AnalysisReport(

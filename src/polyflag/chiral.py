@@ -47,8 +47,8 @@ from dataclasses import dataclass, replace
 from .presentation import Word, ROTATION, make_presentation
 from .coset_enum import (enumerate_cosets, pair_orbit_table, InternalError,
                          DEFAULT_MAX_COSETS)
-from .stringc import RegularGroup, dual, is_string_c_group
-from .analysis import FlagBound, f_vector, flatness_spectrum, is_tight
+from .stringc import RegularGroup, dual
+from .analysis import FlagBound, analyze, flatness_spectrum
 from .constructions import (torus_kind, check_torus_params, torus_order,
                            certify)
 from .permgroup import word_image
@@ -338,7 +338,8 @@ def _kind(section):
 
 
 def chiral_report(group):
-    """JSON-ready analysis of a rotation group.
+    """JSON-ready analysis of a rotation group: the facts analyze shares
+    with a string group, plus chirality.
 
     facet_kind and vf_kind are is_chiral of the facet s_1..s_{n-2} and
     the vertex-figure s_2..s_{n-1} (None below rank 3).  Only a chiral
@@ -346,10 +347,10 @@ def chiral_report(group):
     on facts computed from it and, from rank 5, the medial s_2..s_{n-2}.
     c_group and c_group_witness (on failure) are as for a string group.
     """
-    n, flags = group.rank, group.flag_count()
+    report = analyze(group)
+    n, flags = report.rank, report.flag_count
     cover = mixed_regular_cover_flags(group)
     chiral = cover != flags
-    faces = f_vector(group)
     fk, vk, bound_check, violations = None, None, None, []
     if n >= 3:
         facet = group.section(0, n - 3)
@@ -359,24 +360,22 @@ def chiral_report(group):
         bound_check = {"minimum_flags": bound, "flags": flags,
                        "ok": flags >= bound}
         violations = structure_constraint_audit(StructureFacts(
-            n, fk, vk, flat_pairs=flatness_spectrum(group),
-            tight=is_tight(group),
+            n, fk, vk, flat_pairs=report.flat_pairs, tight=report.is_tight,
             medial_kind=_kind(group.section(1, n - 3)) if n >= 5 else None,
             facet_flat_pairs=flatness_spectrum(facet)))
-    verdict = is_string_c_group(group)
     payload = {
-        "order": group.order,
+        "order": report.order,
         "flags": flags,
         "is_chiral": chiral,
-        "vertices": faces[0],
-        "facets": faces[-1],
+        "vertices": report.f_vector[0],
+        "facets": report.f_vector[-1],
         "mixed_cover_flags": cover,
         "facet_kind": fk,
         "vf_kind": vk,
         "bound_check": bound_check,
         "audit_violations": violations,
-        "c_group": verdict.ok,
+        "c_group": report.c_group,
     }
-    if not verdict.ok:
-        payload["c_group_witness"] = verdict.witness.rank_sets()
+    if not report.c_group:
+        payload["c_group_witness"] = report.c_group_witness.rank_sets()
     return payload

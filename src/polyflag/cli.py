@@ -38,14 +38,6 @@ from . import corpus
 ENV_MAX_COSETS = "POLYFLAG_MAX_COSETS"
 
 
-def _emit(args, payload, lines):
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _verdict_lines(payload, name):
     """The intersection-condition verdict, and its witness on failure."""
     lines = [f"{name}: {'yes' if payload['c_group'] else 'NO'}"]
@@ -69,8 +61,6 @@ def _reflection_lines(payload):
     lines.append(
         f"flat {payload['is_flat']}  tight {payload['is_tight']}"
         f"  degenerate {payload['is_degenerate']}")
-    if payload["audit_violations"]:
-        lines.append("AUDIT: " + ", ".join(payload["audit_violations"]))
     return lines
 
 
@@ -88,8 +78,6 @@ def _rotation_lines(payload, rank):
             f"{payload['vf_kind']}: {b['minimum_flags']}"
             f" <= {b['flags']}: {'ok' if b['ok'] else 'VIOLATED'}")
     lines.extend(_verdict_lines(payload, "string C+-group"))
-    if payload["audit_violations"]:
-        lines.append("AUDIT: " + ", ".join(payload["audit_violations"]))
     return lines
 
 
@@ -102,19 +90,30 @@ def _build(pres, max_cosets):
 
 def _report(group):
     """The payload and text lines of ``analyze``, for either class."""
-    if group.pres.kind != REFLECTION:
+    if group.kind == REFLECTION:
+        payload = analyze(group).to_json()
+        lines = _reflection_lines(payload)
+    else:
         payload = chiral_report(group)
-        return payload, _rotation_lines(payload, group.rank)
-    payload = analyze(group).to_json()
-    return payload, _reflection_lines(payload)
+        lines = _rotation_lines(payload, group.rank)
+    if payload["audit_violations"]:
+        lines.append("AUDIT: " + ", ".join(payload["audit_violations"]))
+    return payload, lines
 
 
-def _clean(payload):
-    """No audit violation; the intersection condition (string C-group,
-    or C+-group for rotation input) and the flag bound hold."""
+def _answer(args, payload, lines):
+    """Print the report, as JSON or as lines, and return the exit code:
+    0 when it is clean (no audit violation; the intersection condition,
+    string C-group or C+-group for rotation input, and the flag bound
+    hold), else 1."""
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        print("\n".join(lines))
     bound = payload.get("bound_check")
-    return (payload["c_group"] and not payload["audit_violations"]
-            and (bound is None or bound["ok"]))
+    clean = (payload["c_group"] and not payload["audit_violations"]
+             and (bound is None or bound["ok"]))
+    return 0 if clean else 1
 
 
 def cmd_analyze(args):
@@ -125,9 +124,7 @@ def cmd_analyze(args):
             f"not UTF-8: byte {exc.object[exc.start]:#04x}"
             f" at offset {exc.start}") from None
     pres = parse_presentation(text)
-    payload, lines = _report(_build(pres, args.max_cosets))
-    _emit(args, payload, lines)
-    return 0 if _clean(payload) else 1
+    return _answer(args, *_report(_build(pres, args.max_cosets)))
 
 
 def _parse_param(token):
@@ -174,8 +171,7 @@ def cmd_construct(args):
                                   "ok": True}
         lines.insert(0, f"order certificate: expected {order},"
                         f" computed {order}, ok")
-    _emit(args, payload, lines)
-    return 0 if _clean(payload) else 1
+    return _answer(args, payload, lines)
 
 
 def _parse_rank_range(text, default):
@@ -327,17 +323,32 @@ def cmd_verify(args):
     return 1 if failures else 0
 
 
+def _coset_cap(raw, source):
+    """The coset cap written as raw in source (the flag or the
+    environment variable): an integer of at least 1."""
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{source} is not an integer: {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"{source} must be at least 1, got {cap}")
+    return cap
+
+
+class _CapAction(argparse.Action):
+    """--max-cosets, read by _coset_cap; its ValueError passes through
+    parse_args to main."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, _coset_cap(values, option_string))
+
+
 def build_parser():
     """The command-line parser.  It is built once and shared; every call
     sets its --max-cosets default afresh from the environment."""
     raw = os.environ.get(ENV_MAX_COSETS, str(DEFAULT_MAX_COSETS))
-    try:
-        max_cosets = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_MAX_COSETS} is not an integer: {raw!r}") from None
     parser = _parser()
-    parser.set_defaults(max_cosets=max_cosets)
+    parser.set_defaults(max_cosets=_coset_cap(raw, ENV_MAX_COSETS))
     return parser
 
 
@@ -355,7 +366,7 @@ def _parser():
         prog="polyflag",
         description="regular and chiral polytope analysis from group "
                     "presentations")
-    parser.add_argument("--max-cosets", type=int,
+    parser.add_argument("--max-cosets", action=_CapAction,
                         default=DEFAULT_MAX_COSETS,
                         help="enumeration size limit (env "
                              f"{ENV_MAX_COSETS})")

@@ -32,6 +32,7 @@ from .presentation import (Word, REFLECTION, make_presentation,
 from .coset_enum import DEFAULT_MAX_COSETS
 from .stringc import (StringGroup, build_string_group, dual,
                       is_string_c_group)
+from .analysis import f_vector
 
 
 class CertificateMismatch(Exception):
@@ -119,8 +120,7 @@ def simplex_extension(*periods, max_cosets=DEFAULT_MAX_COSETS):
     certify("schlafli", tuple(periods), group.schlafli_symbol())
     if not is_string_c_group(group):
         raise CertificateMismatch("intersection condition failed")
-    vertices = group.order // group.parabolic_order(range(1, n))
-    certify("vertices", (n + 1) * periods[0] // 3, vertices)
+    certify("vertices", (n + 1) * periods[0] // 3, f_vector(group)[0])
     return group
 
 

@@ -377,8 +377,10 @@ def enumerate_cosets(pres, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
 
     Returns a complete, compacted, deterministic CosetTable.  Raises
     CosetLimitExceeded if more than ``max_cosets`` cosets would have to be
-    live at once.
+    live at once, and ValueError if ``max_cosets`` is below 1.
     """
+    if max_cosets < 1:
+        raise ValueError(f"coset limit must be at least 1, got {max_cosets}")
     enum = _Enumerator(2 * pres.num_generators, _relator_columns(pres),
                        max_cosets)
     enum.run([word_to_columns(w) for w in subgroup_words])

@@ -424,12 +424,14 @@ def parse_presentation(text):
     Directives: ``rank n``, ``kind reflection|rotation``, optional
     ``schlafli p1 ... `` (token ``inf`` for an unbounded period), then any
     number of ``rel <word>`` and ``central <word>`` lines.  ``#`` starts a
-    comment.  Words are parsed once rank and kind are known; an error in
-    one names its line, as in any other directive.
+    comment.  ``rank``, ``kind`` and ``schlafli`` may each appear once.
+    Words are parsed once rank and kind are known; an error in one names
+    its line, as in any other directive.
     """
     rank = None
     kind = None
     schlafli = None
+    first = {}  # line of each rank, kind and schlafli directive
     rels, centrals = [], []
     words = []  # (line number, text, list it parses into, name) per word
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -439,6 +441,11 @@ def parse_presentation(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         with _on_line(lineno):
+            if head in first:
+                raise PresentationError(f"repeated directive {head!r}"
+                                        f" (first on line {first[head]})")
+            if head in ("rank", "kind", "schlafli"):
+                first[head] = lineno
             if head == "rank":
                 rank = int(rest)
             elif head == "kind":

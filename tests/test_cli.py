@@ -318,6 +318,48 @@ def test_bad_env_coset_cap_is_an_error(monkeypatch, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, value", [
+    (("--max-cosets", "-5", "construct", "lambda", "6", "3"), -5),
+    (("--max-cosets=-1", "construct", "hemi"), -1),
+    (("--max-cosets", "0", "construct", "coxeter", "3", "3"), 0),
+], ids=["flag-negative", "flag-attached", "flag-zero"])
+def test_coset_cap_below_one_is_an_error(capsys, argv, value):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: --max-cosets must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize("raw", ["-1", "0"])
+def test_env_coset_cap_below_one_is_an_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv(ENV_MAX_COSETS, raw)
+    code, out, err = run(capsys, "construct", "hemi")
+    assert (code, out) == (1, "")
+    assert err == f"error: {ENV_MAX_COSETS} must be at least 1, got {raw}\n"
+
+
+def test_coset_cap_of_one_is_a_cap(capsys):
+    code, _, err = run(capsys, "--max-cosets", "1", "construct", "lambda",
+                       "6", "3")
+    assert code == 2
+    assert err.startswith("enumeration limit: coset limit 1 exceeded")
+
+
+def test_bad_coset_cap_flag_names_the_flag(capsys):
+    code, out, err = run(capsys, "--max-cosets", "abc", "verify", "table3")
+    assert (code, out) == (1, "")
+    assert err == "error: --max-cosets is not an integer: 'abc'\n"
+
+
+def test_repeated_directive_exits_3(tmp_path, capsys):
+    path = tmp_path / "twice.txt"
+    path.write_text("rank 3\nkind rotation\nkind reflection\n"
+                    "schlafli 3 3\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert err == ("parse error: line 3: repeated directive 'kind'"
+                   " (first on line 2)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("--max-cosets", "abc", "verify", "table3"),
     ("--bogus", "verify", "table3"),

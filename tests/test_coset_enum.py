@@ -95,6 +95,18 @@ def test_limit_respected_when_finite():
     assert table.num_cosets == 24
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_limit_below_one_is_refused(cap):
+    with pytest.raises(ValueError, match=f"at least 1, got {cap}$"):
+        enumerate_cosets(cox(3, 3), (), max_cosets=cap)
+
+
+def test_limit_of_one_is_a_limit():
+    with pytest.raises(CosetLimitExceeded) as info:
+        enumerate_cosets(cox(3), (), max_cosets=1)
+    assert info.value.max_cosets == 1
+
+
 def test_action_is_involution_per_generator():
     pres = cox(3, 4)
     table = enumerate_cosets(pres, ())

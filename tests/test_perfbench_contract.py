@@ -88,6 +88,10 @@ def test_chiral_cover_traced_without_stabilizer_chains(perfbench, tmp_path):
     assert layers["chiral.mix_order_self_s"] > 0
     # rotation face stabilizers still pass through the traced word_orbit
     assert layers["chiral.word_orbit_calls"] > 0
+    # the shared facts of a rotation report are analyze's, booked there
+    for name in ("analysis.f_vector_s", "analysis.flatness_spectrum_s",
+                 "stringc.is_string_c_group_s"):
+        assert layers[name] > 0, name
     assert layers["permgroup.build_chain_calls"] == 0
     assert layers["permgroup.perm_mul_calls"] == 0
 

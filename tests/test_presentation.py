@@ -301,6 +301,29 @@ def test_parse_presentation_rejects(text, fragment):
         parse_presentation(text)
 
 
+@pytest.mark.parametrize("text, line, directive, first", [
+    ("rank 3\nrank 4\nkind reflection\n", 2, "rank", 1),
+    ("rank 3\nkind rotation\nkind reflection\nschlafli 3 3\n", 3, "kind",
+     2),
+    ("rank 3\nkind reflection\nschlafli 3 3\nrel r0\nschlafli 3 4\n", 5,
+     "schlafli", 3),
+])
+def test_parse_presentation_rejects_a_repeated_directive(text, line,
+                                                         directive, first):
+    with pytest.raises(PresentationError) as exc:
+        parse_presentation(text)
+    assert str(exc.value) == (f"line {line}: repeated directive"
+                              f" {directive!r} (first on line {first})")
+
+
+def test_rel_and_central_may_repeat():
+    pres = parse_presentation("rank 3\nkind reflection\nschlafli 6 3\n"
+                              "rel (r0 r1 r2)^6\nrel (r0 r1 r2)^6\n"
+                              "central (r0 r1)^3\ncentral (r0 r1)^3\n")
+    assert pres.relators.count(
+        (Word.gen(0) * Word.gen(1) * Word.gen(2)) ** 6) == 2
+
+
 def test_serialize_folds_symbol_back():
     pres = make_presentation(REFLECTION, 3, [4, 3])
     text = serialize_presentation(pres)

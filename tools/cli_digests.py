@@ -6,14 +6,16 @@ Usage: python3 tools/cli_digests.py CHECKOUT
 Runs a fixed list of commands, each in a fresh interpreter started in
 CHECKOUT with ``CHECKOUT/src`` on the path and ``POLYFLAG_MAX_COSETS``
 unset: ``python -m polyflag --json`` on a set of ``construct`` families,
-``analyze`` on every corpus file and on five small presentations that
-each fail one shape condition (written to a temporary directory), the
-three ``verify`` suites and ``verify table3 --rank 4``, then each script
-in ``demos/``.  Each line gives the command, its exit code
-and the first 16 hex digits of the SHA-256 of its stdout and of its
-stderr.  Run it on two checkouts (say, a ``git archive`` of the parent
-commit and the working tree) and diff the output: a change that keeps
-every report byte for byte leaves it unchanged.
+``analyze`` on every corpus file and on six small presentations (written
+to a temporary directory: five that each fail one shape condition, and a
+rotation group that fails the intersection condition, so the rotation
+report's witness is digested too), the three ``verify`` suites and
+``verify table3 --rank 4``, then each script in ``demos/``.  Each line
+gives the command, its exit code and the first 16 hex digits of the
+SHA-256 of its stdout and of its stderr.  Run it on two checkouts (say,
+a ``git archive`` of the parent commit and the working tree) and diff
+the output: a change that keeps every report byte for byte leaves it
+unchanged.
 """
 
 import hashlib
@@ -30,8 +32,9 @@ CONSTRUCT = (
     "coxeter 3 3",
 )
 VERIFY = ("table2", "table3", "props", "table3 --rank 4")
-# one presentation per shape message: name -> file text
-SHAPE_FAULTS = {
+# one presentation per shape message, and one rotation group that is not
+# a string C+-group: name -> file text
+SMALL_INPUTS = {
     "non-involution": "rank 2\nkind reflection\nrel r0^3\nrel r1^2\n"
                       "rel (r0 r1)^2\n",
     "non-commuting": "rank 3\nkind reflection\nrel r0^2\nrel r1^2\n"
@@ -41,11 +44,13 @@ SHAPE_FAULTS = {
     "rotation-product": "rank 3\nkind rotation\nrel s1^2\nrel s2^2\n"
                         "rel (s1 s2)^3\n",
     "rotation-period": "rank 3\nkind rotation\nschlafli 4 4\nrel s1^2\n",
+    "rotation-not-c-plus": "rank 3\nkind rotation\nrel s1^4\nrel s2^4\n"
+                           "rel (s1 s2)^2\nrel s1^2 s2^-2\n",
 }
 
 
 def commands(root, scratch):
-    """(label, argv) pairs, in a fixed order; the shape-fault files are
+    """(label, argv) pairs, in a fixed order; the small input files are
     written to the directory scratch."""
     cli = [sys.executable, "-m", "polyflag", "--json"]
     out = [(f"construct {params}", cli + ["construct", *params.split()])
@@ -53,7 +58,7 @@ def commands(root, scratch):
     corpus = root / "src" / "polyflag" / "corpus"
     out += [(f"analyze {path.stem}", cli + ["analyze", str(path)])
             for path in sorted(corpus.glob("*.txt"))]
-    for name, text in SHAPE_FAULTS.items():
+    for name, text in SMALL_INPUTS.items():
         path = scratch / f"{name}.txt"
         path.write_text(text)
         out.append((f"analyze {name}", cli + ["analyze", str(path)]))
