@@ -255,9 +255,11 @@ def chiral_lower_bound(rank, facet_kind, vf_kind):
 class StructureFacts:
     """What is known about a claimed chiral polytope, for auditing.
 
-    facet_kind, vf_kind and the medial sections' medial_kind are
-    "regular", "chiral" or None for unknown, and facet_flat_pairs is the
-    facet's own flatness spectrum; chiral_report computes all of them.
+    facet_kind, vf_kind and medial_kind, the kinds of the facet
+    section(0, n-2), the vertex-figure section(1, n-1) and the medial
+    section(1, n-2), are "regular", "chiral" or None for unknown, and
+    facet_flat_pairs is the facet's own flatness spectrum; chiral_report
+    computes all of them.
     Checks whose inputs are unknown are skipped, so the audit only
     reports definite contradictions.
     """
@@ -341,10 +343,10 @@ def chiral_report(group):
     """JSON-ready analysis of a rotation group: the facts analyze shares
     with a string group, plus chirality.
 
-    facet_kind and vf_kind are is_chiral of the facet s_1..s_{n-2} and
-    the vertex-figure s_2..s_{n-1} (None below rank 3).  Only a chiral
-    group gets the flag bound of that profile and the structure audit,
-    on facts computed from it and, from rank 5, the medial s_2..s_{n-2}.
+    facet_kind and vf_kind are is_chiral of the facet section(0, n-2)
+    and the vertex-figure section(1, n-1) (None below rank 3).  Only a
+    chiral group gets that profile's flag bound and the structure audit,
+    on facts from it and, from rank 5, the medial section(1, n-2).
     c_group and c_group_witness (on failure) are as for a string group.
     """
     report = analyze(group)
@@ -353,15 +355,15 @@ def chiral_report(group):
     chiral = cover != flags
     fk, vk, bound_check, violations = None, None, None, []
     if n >= 3:
-        facet = group.section(0, n - 3)
-        fk, vk = _kind(facet), _kind(group.section(1, n - 2))
+        facet = group.section(0, n - 2)
+        fk, vk = _kind(facet), _kind(group.section(1, n - 1))
     if chiral:  # a rank-2 rotation group is cyclic, never chiral
         bound = chiral_lower_bound(n, fk, vk).value
         bound_check = {"minimum_flags": bound, "flags": flags,
                        "ok": flags >= bound}
         violations = structure_constraint_audit(StructureFacts(
             n, fk, vk, flat_pairs=report.flat_pairs, tight=report.is_tight,
-            medial_kind=_kind(group.section(1, n - 3)) if n >= 5 else None,
+            medial_kind=_kind(group.section(1, n - 2)) if n >= 5 else None,
             facet_flat_pairs=flatness_spectrum(facet)))
     payload = {
         "order": report.order,

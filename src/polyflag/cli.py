@@ -30,7 +30,7 @@ from .stringc import (build_string_group, SggiViolation,
 from .analysis import analyze, min_nonflat_flags
 from .constructions import (FamilySpec, build_family, table2_witness,
                             CertificateMismatch, AmalgamCollapse,
-                            TORUS_FAMILIES, is_regular_torus)
+                            FAMILIES, TORUS_FAMILIES, is_regular_torus)
 from .chiral import (build_rotation_group, rotation_torus_map, chiral_report,
                      RotationViolation, chiral_lower_bound)
 from . import corpus
@@ -380,9 +380,7 @@ def _parser():
 
     p = sub.add_parser("construct", help="build and analyze a family "
                        "member")
-    p.add_argument("family",
-                   help="coxeter | lambda | torus44 | torus36 | torus63"
-                        " | hemi | amalgam | named")
+    p.add_argument("family", help=" | ".join(FAMILIES))
     p.add_argument("params", nargs="*",
                    help="periods, (b,c), a name, or two family:p,q "
                         "section specs")

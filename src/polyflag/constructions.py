@@ -244,16 +244,17 @@ def simplex_amalgam_check(*periods, max_cosets=DEFAULT_MAX_COSETS):
 
 
 TORUS_FAMILIES = {"torus44": "44", "torus36": "36", "torus63": "63"}
+# the families construct builds, in the order its help lists them
+FAMILIES = ("coxeter", "lambda", *TORUS_FAMILIES, "hemi", "amalgam", "named")
 
 # parameter count of the families that have a fixed one
 _ARITY = {**dict.fromkeys(TORUS_FAMILIES, 2), "hemi": 0, "named": 1}
-_INTEGER_PARAMS = ("coxeter", "lambda", *TORUS_FAMILIES)
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """A buildable family instance, as named on the command line; its
-    parameter count and types are checked on creation."""
+    family name, parameter count and types are checked on creation."""
 
     family: str
     params: tuple = ()
@@ -261,6 +262,8 @@ class FamilySpec:
 
     def __post_init__(self):
         fam, params = self.family, self.params
+        if fam not in FAMILIES:
+            raise ValueError(f"unknown family {fam!r}")
         want = _ARITY.get(fam)
         if want is not None and len(params) != want:
             raise ValueError(
@@ -268,7 +271,7 @@ class FamilySpec:
         # only a coxeter period may be inf (None), i.e. unconstrained
         numbers = (int, type(None)) if fam == "coxeter" else int
         bad = [p for p in params if not isinstance(p, numbers)]
-        if fam in _INTEGER_PARAMS and bad:
+        if fam != "named" and bad:
             shown = "inf" if bad[0] is None else bad[0]
             raise ValueError(
                 f"{fam} parameters must be integers, got {shown!r}")
@@ -339,10 +342,7 @@ def build_family(spec, max_cosets=DEFAULT_MAX_COSETS):
         k = build_family(spec.sections[0], max_cosets)
         l = build_family(spec.sections[1], max_cosets)
         return universal_amalgam(k, l, max_cosets=max_cosets)
-    if fam == "named":
-        (name,) = params
-        if name not in NAMED:
-            raise ValueError(
-                f"unknown name {name!r}; have {sorted(NAMED)}")
-        return build_family(NAMED[name], max_cosets)
-    raise ValueError(f"unknown family {fam!r}")
+    (name,) = params  # the last family, named
+    if name not in NAMED:
+        raise ValueError(f"unknown name {name!r}; have {sorted(NAMED)}")
+    return build_family(NAMED[name], max_cosets)

@@ -5,8 +5,8 @@ relator in file order, defining cosets as needed to complete the trace, with
 a fill pass for any column no relator touches.  Coincidences are resolved
 through a union-find merge queue, always keeping the smaller coset number.
 When the live-coset budget is exhausted a lookahead pass scans the table
-without defining anything, hoping for a collapse; if that frees no room the
-enumeration fails with the high-water mark.
+without defining anything, hoping for a collapse; if that frees no room and
+leaves an entry undefined, the enumeration fails with the high-water mark.
 
 Lookahead starts at the scan pointer.  Every live coset below it has had
 every relator scanned and filled, so each of its relator traces closes, and
@@ -366,8 +366,12 @@ class _Enumerator:
         self.compact(0)
 
     def _lookahead_or_fail(self, start):
+        """Lookahead, then fail unless it freed room or completed the
+        table (each column then holds exactly ``live`` defined entries)."""
         self.lookahead(start)
-        if self.live >= self.max_cosets:
+        if self.live >= self.max_cosets and not all(
+                len(col) - col.count(_UNDEF) == self.live
+                for col in self.cols):
             raise CosetLimitExceeded(
                 self.max_cosets, self.high_water) from None
 

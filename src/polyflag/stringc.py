@@ -147,13 +147,14 @@ class RegularGroup:
         return found
 
     def section(self, lo, hi):
-        """The section on generators lo..hi (inclusive): a group of the
-        same class on those generators, acting on the same points, with
-        no presentation and no table of its own."""
-        if not 0 <= lo <= hi < len(self.gens):
-            raise ValueError(f"need 0 <= lo <= hi < {len(self.gens)}, "
-                             f"got ({lo}, {hi})")
-        return type(self)(None, self.gens[lo:hi + 1])
+        """Gamma_{lo..hi}, the section of ranks lo..hi, of rank hi - lo + 1:
+        the same class on the generators those ranks span (one rank of a
+        rotation group spans none), with no presentation or table."""
+        stop = hi + 1 - KINDS[self.kind][1]
+        if not 0 <= lo < stop <= len(self.gens):
+            raise ValueError(f"need ranks 0 <= lo <= hi < {self.rank} "
+                             f"spanning a generator, got ({lo}, {hi})")
+        return type(self)(None, self.gens[lo:stop])
 
     def schlafli_symbol(self):
         """Orders of the rotations, computed once per group: the action

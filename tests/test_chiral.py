@@ -306,7 +306,7 @@ def test_cover_matches_the_enumerated_enantiomorph():
     for label, group in _mirror_oracle_groups():
         expected = 2 * mix_order(group, enantiomorph(group))
         assert mixed_regular_cover_flags(group) == expected, label
-        whole = group.section(0, len(group.gens) - 1)
+        whole = group.section(0, group.rank - 1)
         assert mixed_regular_cover_flags(whole) == expected, label
 
 
@@ -443,7 +443,7 @@ def test_338_polytope():
 
 def test_338_sections_are_presentation_free():
     group = rot338()
-    facet, vertex_figure = group.section(0, 1), group.section(1, 2)
+    facet, vertex_figure = group.section(0, 2), group.section(1, 3)
     assert (facet.schlafli_symbol(), facet.flag_count()) == ((3, 3), 24)
     assert (vertex_figure.schlafli_symbol(),
             vertex_figure.flag_count()) == ((3, 8), 96)
@@ -461,7 +461,7 @@ def test_338_structure_audit_clean():
         facet_flat_pairs=analyze(coxeter(3, 3)).flat_pairs)
     assert structure_constraint_audit(facts) == []
     # the report computes the same facts from the group itself
-    assert flatness_spectrum(group.section(0, 1)) == facts.facet_flat_pairs
+    assert flatness_spectrum(group.section(0, 2)) == facts.facet_flat_pairs
     payload = chiral_report(group)
     assert (payload["facet_kind"], payload["vf_kind"]) == ("regular",
                                                            "regular")
@@ -504,7 +504,7 @@ def test_regular_amalgam_is_not_audited():
     group = rotation_amalgam(2, 0)
     assert group.order == 96
     assert not is_chiral(group)
-    facet_flats = flatness_spectrum(group.section(0, 1))
+    facet_flats = flatness_spectrum(group.section(0, 2))
     assert facet_flats == ((0, 2),)
     facts = StructureFacts(4, "regular", "regular",
                            flat_pairs=flatness_spectrum(group),
@@ -630,6 +630,32 @@ def test_audit_tightness_restrictions():
     facts = StructureFacts(rank=5, facet_kind="chiral", vf_kind="chiral",
                            flat_pairs=(), tight=True, medial_kind="chiral")
     assert structure_constraint_audit(facts) == []
+
+
+def test_rank5_report_audits_the_medial_section(monkeypatch):
+    # the 4-simplex's rotation group, read as chiral as a whole only, so
+    # the report reaches the medial section and the structure audit
+    group = build_rotation_group(make_presentation(ROTATION, 5, [3, 3, 3, 3]))
+    assert group.order == 360
+    cover = chiral.mixed_regular_cover_flags
+    monkeypatch.setattr(chiral, "mixed_regular_cover_flags",
+                        lambda g: cover(g) * (2 if g is group else 1))
+    kinds, audited = [], []
+    kind, audit = chiral._kind, chiral.structure_constraint_audit
+    monkeypatch.setattr(chiral, "_kind",
+                        lambda section: kinds.append(section.gens)
+                        or kind(section))
+    monkeypatch.setattr(chiral, "structure_constraint_audit",
+                        lambda facts: audited.append(facts) or audit(facts))
+    payload = chiral_report(group)
+    assert payload["is_chiral"] is True
+    gens = group.gens
+    assert kinds == [gens[0:3], gens[1:4], gens[1:3]]  # facet, vf, medial
+    (facts,) = audited
+    assert (facts.facet_kind, facts.vf_kind, facts.medial_kind) == (
+        "regular", "regular", "regular")
+    assert facts.facet_flat_pairs == flatness_spectrum(
+        RotationGroup(None, gens[0:3]))
 
 
 def test_audit_unknown_sections_skip():

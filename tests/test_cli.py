@@ -11,6 +11,7 @@ import pytest
 
 from polyflag import chiral, cli, constructions, coset_enum, corpus
 from polyflag.cli import main, build_parser, ENV_MAX_COSETS
+from polyflag.constructions import FAMILIES
 from polyflag.corpus import entry_text, load_entry
 
 
@@ -344,6 +345,13 @@ def test_coset_cap_of_one_is_a_cap(capsys):
     assert err.startswith("enumeration limit: coset limit 1 exceeded")
 
 
+def test_coset_cap_of_the_group_order_builds_it(capsys):
+    code, out, _ = run(capsys, "--max-cosets", "48", "construct", "coxeter",
+                       "4", "3")
+    assert code == 0
+    assert "order certificate: expected 48, computed 48, ok" in out
+
+
 def test_bad_coset_cap_flag_names_the_flag(capsys):
     code, out, err = run(capsys, "--max-cosets", "abc", "verify", "table3")
     assert (code, out) == (1, "")
@@ -460,6 +468,21 @@ def test_construct_unknown_family(capsys):
     code, _, err = run(capsys, "construct", "dodecaplex")
     assert code == 1
     assert "error" in err
+
+
+def test_construct_unknown_section_family(capsys):
+    code, out, err = run(capsys, "construct", "amalgam", "bogus:1",
+                         "coxeter:3,3")
+    assert (code, out) == (1, "")
+    assert err == "error: unknown family 'bogus'\n"
+
+
+def test_construct_help_lists_every_family(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "family " + " | ".join(FAMILIES) + " params" in out
 
 
 def test_construct_json_carries_family_and_certificate(capsys):

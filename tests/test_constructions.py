@@ -329,6 +329,8 @@ def test_torus_rules():
     ("coxeter", (4, "y"), "coxeter parameters must be integers"),
     ("hemi", (5,), "hemi takes 0 parameter"),
     ("named", (), "named takes 1 parameter"),
+    ("klein", (4,), "^unknown family 'klein'$"),
+    ("amalgam", ("x",), "amalgam parameters must be integers, got 'x'"),
 ])
 def test_family_spec_rejects_bad_parameters(family, params, message):
     with pytest.raises(ValueError, match=message):

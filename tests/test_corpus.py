@@ -186,10 +186,9 @@ def test_flatness_transfers_to_sections(name, built_groups,
 @pytest.mark.parametrize("name", [n for n in NAMES if SIDECARS[n]["rank"] >= 3
                                   and n != "p2-collapsed"])
 def test_sections_share_out_the_flags(name, built_groups):
-    # string: facet r0..r_{n-2}, vertex-figure r1..r_{n-1};
-    # rotation: facet s1..s_{n-2}, vertex-figure s2..s_{n-1}
+    # facet: ranks 0..n-2, vertex-figure: ranks 1..n-1, of either class
     group = built_groups[name]
-    top = len(group.gens) - 1
+    top = group.rank - 1
     faces = f_vector(group)
     flags = group.flag_count()
     assert group.section(0, top - 1).flag_count() * faces[-1] == flags
@@ -254,8 +253,8 @@ def test_rotation_sidecars(name, built_groups):
 
 @pytest.mark.parametrize("name", ROTATION_NAMES)
 def test_section_kinds_match_the_sidecar(name, built_groups):
-    # the report classifies the facet s_1..s_{n-2} and the vertex-figure
-    # s_2..s_{n-1}, sections with no presentation
+    # the report classifies the facet (ranks 0..n-2) and the
+    # vertex-figure (ranks 1..n-1), sections with no presentation
     group = built_groups[name]
     expected = SIDECARS[name]
     n = group.rank
@@ -263,8 +262,8 @@ def test_section_kinds_match_the_sidecar(name, built_groups):
     kinds = (payload["facet_kind"], payload["vf_kind"])
     assert kinds == (expected["facet_kind"], expected["vf_kind"])
     assert kinds == tuple("chiral" if is_chiral(section) else "regular"
-                          for section in (group.section(0, n - 3),
-                                          group.section(1, n - 2)))
+                          for section in (group.section(0, n - 2),
+                                          group.section(1, n - 1)))
     assert payload["c_group"] is expected["c_group"]
 
 

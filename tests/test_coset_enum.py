@@ -95,6 +95,23 @@ def test_limit_respected_when_finite():
     assert table.num_cosets == 24
 
 
+@pytest.mark.parametrize("periods, order", [
+    ((3,), 6), ((5,), 10), ((3, 2, 3), 36), ((2, 3, 3), 48), ((4, 3), 48),
+    ((3, 4, 3), 1152), ((3, 3, 3, 3), 720), ((4, 3, 3, 3), 3840),
+    ((3, 3, 3, 3, 3), 5040), ((3, 3, 5), 14400), ((5, 3, 3), 14400),
+])
+def test_limit_of_the_group_order_holds_the_group(periods, order):
+    # the cap bounds live cosets: a table that completes with every one
+    # of them live is accepted, and one coset fewer cannot hold it
+    pres = cox(*periods)
+    table = enumerate_cosets(pres, (), max_cosets=order)
+    assert table.num_cosets == order
+    prove_table(pres, table)
+    with pytest.raises(CosetLimitExceeded) as info:
+        enumerate_cosets(pres, (), max_cosets=order - 1)
+    assert info.value.max_cosets == order - 1
+
+
 @pytest.mark.parametrize("cap", [0, -1])
 def test_limit_below_one_is_refused(cap):
     with pytest.raises(ValueError, match=f"at least 1, got {cap}$"):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyflag import stringc
-from polyflag.corpus import load_entry
+from polyflag.corpus import corpus_names, load_entry
 from polyflag.coset_enum import (CosetLimitExceeded, coset_action,
                                  enumerate_cosets)
-from polyflag.permgroup import word_image
+from polyflag.permgroup import orbit, word_image
 from polyflag.presentation import (Word, Presentation, make_presentation,
                                    REFLECTION, ROTATION)
 from polyflag.stringc import (
@@ -139,9 +139,27 @@ def test_schlafli_symbol_is_cached(monkeypatch, build):
 @pytest.mark.parametrize("build", [cox, rot], ids=["string", "rotation"])
 def test_section_rejects_windows_outside_the_generators(build):
     group = build(4, 3, 3)
-    for lo, hi in ((-1, 1), (2, 1), (0, len(group.gens))):
+    for lo, hi in ((-1, 1), (2, 1), (0, group.rank)):
         with pytest.raises(ValueError):
             group.section(lo, hi)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_section_is_the_subgroup_of_its_ranks(name, built_groups):
+    # section(lo, hi) is Gamma_{lo..hi} of either class: the parabolic
+    # subgroup of those ranks, as a group of rank hi - lo + 1
+    group = built_groups[name]
+    n = group.rank
+    for lo in range(n):
+        for hi in range(lo, n):
+            if isinstance(group, RotationGroup) and lo == hi:
+                with pytest.raises(ValueError):  # spans no generator
+                    group.section(lo, hi)
+                continue
+            part = group.section(lo, hi)
+            assert part.rank == hi - lo + 1
+            assert (frozenset(orbit(part.gens, 0))
+                    == group.parabolic_orbit(range(lo, hi + 1)))
 
 
 def test_recursive_matches_exhaustive_small():
@@ -331,10 +349,10 @@ def assert_shape_check_matches_reference(group):
 def test_shape_check_matches_the_loops_on_the_corpus(built_groups):
     assert len(built_groups) == 22
     for name, group in built_groups.items():
-        m = len(group.gens)
+        m, top = len(group.gens), group.rank - 1
         groups = [group]
         if m >= 2:  # the facet and the vertex-figure
-            groups += [group.section(0, m - 2), group.section(1, m - 1)]
+            groups += [group.section(0, top - 1), group.section(1, top)]
         for g in groups:
             assert_shape_check_matches_reference(g)
 
@@ -384,10 +402,10 @@ def test_shape_check_matches_the_loops_on_drawn_presentations(pres):
 @given(st.lists(words_drawn, min_size=1, max_size=4))
 def test_is_trivial_is_the_identity_test(built_groups, drawn):
     for name, group in built_groups.items():
-        m = len(group.gens)
-        groups = [group, group.section(0, m - 1)]
+        m, top = len(group.gens), group.rank - 1
+        groups = [group, group.section(0, top)]
         if m >= 2:
-            groups += [group.section(0, m - 2), group.section(1, m - 1)]
+            groups += [group.section(0, top - 1), group.section(1, top)]
         if isinstance(group, RotationGroup):
             groups.append(RotationGroup(None, _mirror_images(group)))
         for g in groups:

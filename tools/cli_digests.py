@@ -6,16 +6,18 @@ Usage: python3 tools/cli_digests.py CHECKOUT
 Runs a fixed list of commands, each in a fresh interpreter started in
 CHECKOUT with ``CHECKOUT/src`` on the path and ``POLYFLAG_MAX_COSETS``
 unset: ``python -m polyflag --json`` on a set of ``construct`` families,
-``analyze`` on every corpus file and on six small presentations (written
-to a temporary directory: five that each fail one shape condition, and a
-rotation group that fails the intersection condition, so the rotation
-report's witness is digested too), the three ``verify`` suites and
-``verify table3 --rank 4``, then each script in ``demos/``.  Each line
-gives the command, its exit code and the first 16 hex digits of the
-SHA-256 of its stdout and of its stderr.  Run it on two checkouts (say,
-a ``git archive`` of the parent commit and the working tree) and diff
-the output: a change that keeps every report byte for byte leaves it
-unchanged.
+on ``construct --help`` and on two unknown families; ``analyze`` on
+every corpus file and on nine small presentations (written to a
+temporary directory: five that each fail one shape condition, a rotation
+group that fails the intersection condition, so the rotation report's
+witness is digested too, and the rotation groups of {3,3,3}, {3,3,3,3}
+and {4,3,3,3}, whose reports classify rank-4 and rank-5 facets and
+vertex-figures); the three ``verify`` suites and ``verify table3 --rank
+4``; then each script in ``demos/``.  Each line gives the command, its
+exit code and the first 16 hex digits of the SHA-256 of its stdout and
+of its stderr.  Run it on two checkouts (say, a ``git archive`` of the
+parent commit and the working tree) and diff the output: a change that
+keeps every report byte for byte leaves it unchanged.
 """
 
 import hashlib
@@ -29,11 +31,12 @@ CONSTRUCT = (
     "torus44 1 2", "torus44 2 1", "torus44 3 5", "torus44 2 0",
     "torus44 1 1", "torus36 1 2", "torus36 4 7", "torus63 2 1", "hemi",
     "lambda 6 3 3", "amalgam coxeter:4,3 torus36:1,1", "named 4-cube",
-    "coxeter 3 3",
+    "coxeter 3 3", "--help", "bogus", "amalgam bogus:1 coxeter:3,3",
 )
 VERIFY = ("table2", "table3", "props", "table3 --rank 4")
-# one presentation per shape message, and one rotation group that is not
-# a string C+-group: name -> file text
+# one presentation per shape message, one rotation group that is not a
+# string C+-group, and three rotation groups of rank 4 and 5 with
+# sections to classify: name -> file text
 SMALL_INPUTS = {
     "non-involution": "rank 2\nkind reflection\nrel r0^3\nrel r1^2\n"
                       "rel (r0 r1)^2\n",
@@ -46,6 +49,9 @@ SMALL_INPUTS = {
     "rotation-period": "rank 3\nkind rotation\nschlafli 4 4\nrel s1^2\n",
     "rotation-not-c-plus": "rank 3\nkind rotation\nrel s1^4\nrel s2^4\n"
                            "rel (s1 s2)^2\nrel s1^2 s2^-2\n",
+    "rotation-simplex-4": "rank 4\nkind rotation\nschlafli 3 3 3\n",
+    "rotation-simplex-5": "rank 5\nkind rotation\nschlafli 3 3 3 3\n",
+    "rotation-cube-5": "rank 5\nkind rotation\nschlafli 4 3 3 3\n",
 }
 
 
