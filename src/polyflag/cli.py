@@ -12,6 +12,13 @@ certificate mismatch, amalgam collapse) or bad arguments, and 1 with an
 runtime proofs; 2 when the coset limit is hit or a bare Coxeter symbol's
 closed-form order is infinite or over it; 3 when the input does not parse
 or would expand past the presentation module's size bounds.
+
+The coset cap is read once per call, in ``main`` after parsing:
+``--max-cosets`` if given (the last one, if repeated), else the
+``POLYFLAG_MAX_COSETS`` environment variable, else
+``DEFAULT_MAX_COSETS``; a value that is not an integer of at least 1 is
+an error naming its source.  A bad argument is reported before a bad
+cap, and ``--help`` never reads the cap.
 """
 
 from __future__ import annotations
@@ -335,23 +342,6 @@ def _coset_cap(raw, source):
     return cap
 
 
-class _CapAction(argparse.Action):
-    """--max-cosets, read by _coset_cap; its ValueError passes through
-    parse_args to main."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, _coset_cap(values, option_string))
-
-
-def build_parser():
-    """The command-line parser.  It is built once and shared; every call
-    sets its --max-cosets default afresh from the environment."""
-    raw = os.environ.get(ENV_MAX_COSETS, str(DEFAULT_MAX_COSETS))
-    parser = _parser()
-    parser.set_defaults(max_cosets=_coset_cap(raw, ENV_MAX_COSETS))
-    return parser
-
-
 class _Parser(argparse.ArgumentParser):
     """Bad arguments raise ValueError, so main reports them with exit 1
     like any other usage error; subparsers inherit the class."""
@@ -361,15 +351,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _parser():
+def build_parser():
+    """The command-line parser, built once and never changed: its
+    --max-cosets default is None, and main resolves the cap."""
     parser = _Parser(
         prog="polyflag",
         description="regular and chiral polytope analysis from group "
                     "presentations")
-    parser.add_argument("--max-cosets", action=_CapAction,
-                        default=DEFAULT_MAX_COSETS,
-                        help="enumeration size limit (env "
-                             f"{ENV_MAX_COSETS})")
+    parser.add_argument("--max-cosets",
+                        help=f"enumeration size limit (env {ENV_MAX_COSETS})")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -396,6 +386,11 @@ def _parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        if args.max_cosets is None:
+            raw = os.environ.get(ENV_MAX_COSETS, DEFAULT_MAX_COSETS)
+            args.max_cosets = _coset_cap(raw, ENV_MAX_COSETS)
+        else:
+            args.max_cosets = _coset_cap(args.max_cosets, "--max-cosets")
         return args.func(args)
     except PresentationError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

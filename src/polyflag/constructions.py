@@ -185,8 +185,11 @@ def universal_amalgam(facet, vertex_figure, max_cosets=DEFAULT_MAX_COSETS):
     Coxeter sections join to a bare Coxeter presentation, which
     build_string_group can refuse before enumerating.  Section
     compatibility is prechecked only through the overlap of Schlafli
-    symbols; a deeper mismatch surfaces as a collapse, detected by
-    comparing the parabolic subgroup orders against the inputs.
+    symbols.  A deeper mismatch surfaces after enumeration: as
+    SggiViolation from build_string_group's shape check when the join
+    kills a generator (coxeter(3, 3) with the hemi-icosahedron), else as
+    AmalgamCollapse when a parabolic subgroup order differs from its
+    input's or the join fails the intersection condition.
     """
     k, l = facet, vertex_figure
     for name, g in (("facet", k), ("vertex-figure", l)):

@@ -402,11 +402,7 @@ class _WordParser:
 
 
 def parse_word(text, kind, num_generators):
-    parser = _WordParser(text, kind, num_generators)
-    w = parser.parse_word()
-    if parser.peek() is not None:
-        parser.fail("trailing input")
-    return w
+    return _WordParser(text, kind, num_generators).parse_word()
 
 
 @contextmanager

@@ -6,10 +6,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from polyflag import chiral, cli, constructions, coset_enum, corpus
+from polyflag import analysis, chiral, cli, constructions, coset_enum, corpus
 from polyflag.cli import main, build_parser, ENV_MAX_COSETS
 from polyflag.constructions import FAMILIES
 from polyflag.corpus import entry_text, load_entry
@@ -303,10 +304,47 @@ def test_env_coset_cap_read_on_every_call(tmp_path, capsys, monkeypatch):
     assert run(capsys, "analyze", path)[0] == 0
 
 
-def test_env_default_in_parser(monkeypatch):
-    monkeypatch.setenv(ENV_MAX_COSETS, "12345")
-    args = build_parser().parse_args(["verify", "props"])
-    assert args.max_cosets == 12345
+@pytest.mark.parametrize("raw", [None, "12345", "abc"])
+def test_parser_is_built_once_and_holds_no_cap(monkeypatch, raw):
+    if raw is None:
+        monkeypatch.delenv(ENV_MAX_COSETS, raising=False)
+    else:
+        monkeypatch.setenv(ENV_MAX_COSETS, raw)
+    assert build_parser() is build_parser()
+    assert build_parser().get_default("max_cosets") is None
+
+
+def test_coset_cap_flag_wins_over_a_bad_env(monkeypatch, capsys):
+    monkeypatch.setenv(ENV_MAX_COSETS, "abc")
+    code, out, err = run(capsys, "--max-cosets", "100", "construct",
+                         "coxeter", "3", "3")
+    assert (code, err) == (0, "")
+    assert "order certificate: expected 24, computed 24, ok" in out
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("construct", "--help")],
+                         ids=["top", "construct"])
+def test_help_ignores_a_bad_env_coset_cap(monkeypatch, capsys, argv):
+    monkeypatch.setenv(ENV_MAX_COSETS, "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: polyflag")
+
+
+def test_argument_error_before_coset_cap_error(capsys):
+    code, out, err = run(capsys, "--max-cosets", "abc", "--bogus",
+                         "verify", "table3")
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized arguments: --bogus\n"
+
+
+def test_repeated_coset_cap_flag_keeps_the_last(capsys):
+    code, _, err = run(capsys, "--max-cosets", "-5", "--max-cosets", "47",
+                       "construct", "coxeter", "4", "3")
+    assert code == 2
+    assert err == ("enumeration limit: string Coxeter group [4,3] has"
+                   " order 48, over the coset limit 47\n")
 
 
 def test_bad_env_coset_cap_is_an_error(monkeypatch, capsys):
@@ -386,6 +424,14 @@ def test_help_exits_0(capsys):
         main(["-h"])
     assert exc.value.code == 0
     assert "usage: polyflag" in capsys.readouterr().out
+
+
+def test_audit_violation_is_a_text_line_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "audit_counting_propositions",
+                        lambda report: ["forced_violation"])
+    code, out, _ = run(capsys, "construct", "coxeter", "3", "3")
+    assert code == 1
+    assert out.endswith("\nAUDIT: forced_violation\n")
 
 
 def test_construct_coxeter(capsys):
@@ -626,6 +672,22 @@ def test_verify_props_checks_the_rotation_section_kinds(tmp_path, capsys,
     assert code == 1
     assert ("props rotation-44-1-2: VIOLATIONS"
             " sidecar_facet_kind_disagrees") in out
+
+
+def test_verify_props_checks_the_exhaustive_oracle(tmp_path, capsys,
+                                                   monkeypatch):
+    # an oracle that finds a witness the verdict missed is a violation
+    (tmp_path / "coxeter-3-3.txt").write_text(entry_text("coxeter-3-3"))
+    (tmp_path / "coxeter-3-3.json").write_text(
+        json.dumps(load_entry("coxeter-3-3")[1]))
+    monkeypatch.setattr(corpus, "_root", lambda: tmp_path)
+    witness = SimpleNamespace(rank_sets=lambda: ((0,), (1,)))
+    monkeypatch.setattr(cli, "intersection_condition_exhaustive",
+                        lambda group: SimpleNamespace(witness=witness))
+    code, out, _ = run(capsys, "verify", "props")
+    assert code == 1
+    assert out == ("props coxeter-3-3: VIOLATIONS exhaustive_oracle_disagrees"
+                   "\nprops: 1 checks, 1 failures\n")
 
 
 def test_verify_bad_rank_range(capsys):

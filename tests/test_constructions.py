@@ -8,8 +8,8 @@ import pytest
 
 from polyflag.presentation import (Word, REFLECTION, PresentationError,
                                    make_presentation)
-from polyflag.stringc import (CoxeterLimitExceeded, build_string_group,
-                              is_string_c_group)
+from polyflag.stringc import (CoxeterLimitExceeded, SggiViolation,
+                              build_string_group, is_string_c_group)
 from polyflag.analysis import analyze, is_flat, min_nonflat_flags, f_vector
 from polyflag.corpus import load_entry
 from polyflag.chiral import rotation_torus_map
@@ -137,6 +137,27 @@ def test_amalgam_collapse_detected():
         universal_amalgam(hemi_icosahedron(), coxeter(5, 3))
 
 
+def test_amalgam_facet_collapse_detected():
+    # the torus {4,4}_(1,1) forces the octahedral facets down to order 12
+    with pytest.raises(AmalgamCollapse,
+                       match="^facet subgroup has order 12, wanted 48$"):
+        universal_amalgam(coxeter(3, 4), torus_map("44", 1, 1))
+
+
+def test_amalgam_failing_the_intersection_condition_detected():
+    with pytest.raises(AmalgamCollapse,
+                       match="^amalgam fails the intersection condition$"):
+        universal_amalgam(coxeter(2, 4), torus_map("44", 1, 1))
+
+
+def test_amalgam_killing_a_generator_is_a_shape_violation():
+    # the hemi-icosahedron's relator kills r0 in the join: the shape
+    # check of build_string_group raises before any order is compared
+    with pytest.raises(SggiViolation,
+                       match="^generator r0 collapses to the identity$"):
+        universal_amalgam(coxeter(3, 3), hemi_icosahedron())
+
+
 def enumerate_nothing(*args):
     raise AssertionError("enumerated a refused amalgam")
 
@@ -168,6 +189,11 @@ def test_amalgam_of_a_period_one_section_is_refused(monkeypatch):
     monkeypatch.setattr(stringc, "enumerate_cosets", enumerate_nothing)
     with pytest.raises(PresentationError, match="entries must be >= 2"):
         universal_amalgam(facet, vertex_figure)
+
+
+def test_simplex_extension_needs_a_period():
+    with pytest.raises(ValueError, match="^need at least one period$"):
+        simplex_extension()
 
 
 def test_simplex_amalgam_check():

@@ -167,7 +167,7 @@ def coxeter_text(symbol, rel=None):
 
 
 # Recorded from the row-major enumerator that preceded the column-major
-# one (tools/enum_digests.py prints the same table for any checkout).
+# one (tools/digests.py prints the same table for any checkout).
 # Kept by hand: coset numbering must not drift.
 @pytest.mark.parametrize("source, cap, outcome", [
     (coxeter_text((3, 3, 5)), 2_000_000, (14400, "fb8b8c70dec4df1b")),
@@ -442,3 +442,14 @@ def test_pair_orbit_table_over_the_cap():
     assert info.value.max_cosets == 200
     assert pair_orbit_table(pres, 1, Word.gen(0),
                             max_cosets=1806).num_cosets == 1806
+
+
+def test_limit_in_the_subgroup_phase():
+    # at cap 2, tracing the subgroup generator from coset 0 runs out of
+    # room before the main scan starts
+    r0, r1, r2 = (Word.gen(i) for i in range(3))
+    pres = make_presentation(REFLECTION, 3, [4, 3])
+    with pytest.raises(CosetLimitExceeded) as exc:
+        enumerate_cosets(pres, (r0 * r1 * r2 * r1,), max_cosets=2)
+    run = next(entry for entry in exc.traceback if entry.name == "run")
+    assert str(run.statement).strip() == "self._lookahead_or_fail(0)"

@@ -27,6 +27,16 @@ def test_perm_basics():
     assert Perm([0, 1, 3, 2]).first_moved() == 2
 
 
+@pytest.mark.parametrize("images, message", [
+    ([[0, 1]], "images must be one-dimensional"),
+    ([0, 2], "image out of range"),
+    ([0, 0], "images are not a bijection"),
+])
+def test_perm_rejects_bad_images(images, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Perm(images)
+
+
 def test_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         Perm([1, 0]) * Perm([1, 2, 0])

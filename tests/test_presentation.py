@@ -1,6 +1,7 @@
 """Words, relator families, and the presentation file format."""
 
 import json
+from dataclasses import replace
 from itertools import product
 from math import cos, pi
 from pathlib import Path
@@ -267,6 +268,17 @@ def test_parse_rejects(bad):
         parse_word(bad, REFLECTION, 3)
 
 
+@pytest.mark.parametrize("bad, token, pos", [
+    ("r0 )", ")", 3), ("r0 ]", "]", 3), ("r0, r1", ",", 2),
+])
+def test_parse_stray_closer_is_an_unexpected_token(bad, token, pos):
+    # the top-level word reads to the end of input, so a stray closer
+    # or comma is an unexpected token
+    with pytest.raises(PresentationError) as exc:
+        parse_word(bad, REFLECTION, 3)
+    assert str(exc.value) == f"unexpected token {token!r} (position {pos})"
+
+
 def test_parse_presentation_directives():
     pres = parse_presentation("""
         # a comment
@@ -347,6 +359,17 @@ def test_serialize_without_symbol_writes_everything():
                   (Word.gen(0) * Word.gen(1)) ** 3))
     text = serialize_presentation(pres)
     assert text.count("rel ") == 3
+    assert parse_presentation(text).relators == pres.relators
+
+
+def test_serialize_falls_back_when_the_symbol_no_longer_matches():
+    # [4,3] with its first relator dropped: the symbol's expansion is
+    # not a sub-multiset of the relators, so everything is written out
+    full = make_presentation(REFLECTION, 3, [4, 3])
+    pres = replace(full, relators=full.relators[1:])
+    text = serialize_presentation(pres)
+    assert "schlafli" not in text
+    assert text.count("rel ") == len(full.relators) - 1
     assert parse_presentation(text).relators == pres.relators
 
 
