@@ -23,8 +23,8 @@ from itertools import combinations
 
 from .presentation import (Word, KINDS, REFLECTION, coxeter_order,
                            coxeter_relators, shape_relators)
-from .coset_enum import (enumerate_cosets, coset_action, prove_table,
-                         CosetLimitExceeded, InternalError,
+from .coset_enum import (enumerate_cosets, flag_orbit_table, coset_action,
+                         prove_table, CosetLimitExceeded, InternalError,
                          DEFAULT_MAX_COSETS)
 from .permgroup import orbit, word_image
 
@@ -205,23 +205,27 @@ class StringGroup(RegularGroup):
 
 
 def build_string_group(pres, max_cosets=DEFAULT_MAX_COSETS):
-    """Enumerate the group and check it really is a string group
-    (StringGroup.check_shape raises SggiViolation if not).  A bare
+    """Build the group's regular action and check it really is a string
+    group (StringGroup.check_shape raises SggiViolation if not).  A bare
     Coxeter presentation (the declared symbol's relators and nothing
     else) whose closed-form order is infinite or over ``max_cosets``
     raises CoxeterLimitExceeded at once: enumerating it could only end
-    at the limit.
+    at the limit.  One within the limit is built as the orbit of its
+    base flag (coset_enum.flag_orbit_table), certified by that order;
+    every other presentation is enumerated over the trivial subgroup.
     """
     if pres.kind != REFLECTION:
         raise ValueError("string groups are built from reflection "
                          "presentations")
     sym = pres.declared_schlafli
-    if sym is not None:
+    if (sym is not None
+            and pres.relators == tuple(coxeter_relators(pres.rank, sym))):
         order = coxeter_order(sym)
-        if ((order is None or order > max_cosets)
-                and pres.relators == tuple(coxeter_relators(pres.rank, sym))):
+        if order is None or order > max_cosets:
             raise CoxeterLimitExceeded(sym, order, max_cosets)
-    table = enumerate_cosets(pres, (), max_cosets)
+        table = flag_orbit_table(pres, order, max_cosets)
+    else:
+        table = enumerate_cosets(pres, (), max_cosets)
     return StringGroup.from_table(pres, table)
 
 

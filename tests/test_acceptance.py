@@ -9,10 +9,10 @@ integer-exact.
 import itertools
 import math
 
-import numpy as np
 import pytest
 
-from polyflag.presentation import Word, make_presentation, ROTATION
+from polyflag.presentation import (Word, make_presentation, ROTATION,
+                                   coxeter_relators)
 from polyflag.coset_enum import enumerate_cosets, relators_close
 from polyflag.stringc import (build_string_group, is_string_c_group,
                               intersection_condition_exhaustive)
@@ -26,6 +26,8 @@ from polyflag.chiral import (build_rotation_group, rotation_torus_map,
                              structure_constraint_audit,
                              StructureFacts, chiral_lower_bound)
 from polyflag.corpus import corpus_names, load_entry
+
+from oracles import standardize
 
 
 def _verdict(n, failures):
@@ -258,6 +260,12 @@ def test_acceptance_7_bound_formulas(corpus):
     _verdict(7, failures)
 
 
+# the corpus entries built as the orbit of their base flag: the symbol's
+# Coxeter relators and nothing else
+BARE_COXETER = {"coxeter-3-3", "coxeter-3-3-3", "coxeter-3-3-3-3",
+                "coxeter-3-4", "coxeter-3-5", "cube-4", "cube-5", "digon"}
+
+
 def test_acceptance_8_engine_properties(corpus):
     failures = []
     for name, expected, group in corpus:
@@ -282,7 +290,20 @@ def test_acceptance_8_engine_properties(corpus):
             _check(failures,
                    orbit(gens_i, level.point) == set(level.transversal),
                    f"{name}: orbit-stabilizer at level {i}")
-        rerun = enumerate_cosets(group.pres, ())
-        _check(failures, np.array_equal(rerun.action, group.table.action),
-               f"{name}: nondeterministic enumeration")
+        build = (build_string_group if expected["kind"] == "reflection"
+                 else build_rotation_group)
+        _check(failures, build(group.pres).table == group.table,
+               f"{name}: nondeterministic build")
+        rerun = standardize(enumerate_cosets(group.pres, ()))
+        _check(failures, standardize(group.table) == rerun,
+               f"{name}: build and enumeration differ")
+        if name in BARE_COXETER:
+            _check(failures, group.table.columns == rerun,
+                   f"{name}: flag orbit not standard-numbered")
+    bare = {name for name, _, group in corpus
+            if group.pres.declared_schlafli is not None
+            and group.pres.relators == tuple(coxeter_relators(
+                group.rank, group.pres.declared_schlafli))}
+    _check(failures, bare == BARE_COXETER,
+           f"bare Coxeter entries are {sorted(bare)}")
     _verdict(8, failures)

@@ -10,7 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from polyflag import analysis, chiral, cli, constructions, coset_enum, corpus
+from polyflag import (analysis, chiral, cli, constructions, coset_enum,
+                      corpus, stringc)
 from polyflag.cli import main, build_parser, ENV_MAX_COSETS
 from polyflag.constructions import FAMILIES
 from polyflag.corpus import entry_text, load_entry
@@ -293,6 +294,17 @@ def test_internal_error_exits_1_without_traceback(tmp_path, capsys,
     assert code == 1
     assert out == ""
     assert err == "internal error: forced fault\n"
+
+
+def test_short_flag_orbit_exits_1(tmp_path, capsys, monkeypatch):
+    # the closed form claims [3,3] has order 48; the orbit has 24 points
+    monkeypatch.setattr(stringc, "coxeter_order", lambda symbol: 48)
+    code, out, err = run(capsys, "analyze", corpus_file(tmp_path,
+                                                        "coxeter-3-3"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert "orbit has 24 points" in err
 
 
 def test_env_coset_cap_read_on_every_call(tmp_path, capsys, monkeypatch):

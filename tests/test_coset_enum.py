@@ -3,11 +3,16 @@
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from sympy.combinatorics.fp_groups import coset_enumeration_r
+from sympy.combinatorics.free_groups import free_group
 
 from polyflag.corpus import load_entry
 from polyflag.presentation import (Word, Presentation, make_presentation,
@@ -15,9 +20,11 @@ from polyflag.presentation import (Word, Presentation, make_presentation,
 from polyflag.coset_enum import (
     CosetLimitExceeded, enumerate_cosets, coset_action,
     InternalError, relators_close, word_to_columns, pair_orbit_table,
-    prove_table, _Enumerator,
+    flag_orbit_table, prove_table, _Enumerator, _row_keys,
 )
 from polyflag.permgroup import orbit
+
+from oracles import standardize
 
 PERFBENCH_INPUTS = (Path(__file__).resolve().parent.parent / "perfbench"
                     / "inputs.py")
@@ -453,3 +460,98 @@ def test_limit_in_the_subgroup_phase():
         enumerate_cosets(pres, (r0 * r1 * r2 * r1,), max_cosets=2)
     run = next(entry for entry in exc.traceback if entry.name == "run")
     assert str(run.statement).strip() == "self._lookahead_or_fail(0)"
+
+
+def test_flag_orbit_table_over_the_cap():
+    # [3,3] has order 24; a walk capped at 23 points cannot finish
+    pres = cox(3, 3)
+    with pytest.raises(CosetLimitExceeded) as info:
+        flag_orbit_table(pres, 24, max_cosets=23)
+    assert (info.value.max_cosets, info.value.high_water) == (23, 23)
+    assert flag_orbit_table(pres, 24, max_cosets=24).num_cosets == 24
+
+
+def test_flag_orbit_table_proves_through_prove_table(monkeypatch):
+    from polyflag import coset_enum
+    proved = []
+
+    def spy(pres, table, subgroup_words=()):
+        proved.append((table.num_cosets, len(subgroup_words)))
+
+    monkeypatch.setattr(coset_enum, "prove_table", spy)
+    flag_orbit_table(cox(3, 3), 24)
+    # the three maximal parabolics (vertices, edges, faces), then the orbit
+    assert proved == [(4, 2), (6, 2), (4, 2), (24, 0)]
+
+
+def test_flag_orbit_table_shares_objects():
+    # one int object per point, one tuple for an involution's two columns
+    table = flag_orbit_table(cox(4, 3), 48)
+    for g in range(3):
+        assert table.columns[2 * g] is table.columns[2 * g + 1]
+    first = {id(c) for c in table.columns[0]}
+    assert all(id(c) in first for col in table.columns for c in col)
+
+
+def test_row_keys_are_exact_past_int64():
+    # radices whose product passes 2^63: keys must still match exactly
+    # when rows do
+    rng = np.random.default_rng(5)
+    radices = [2 ** 40, 2 ** 40, 3, 2 ** 40]
+    rows = rng.integers(0, 4, size=(500, 4), dtype=np.int64)
+    rows[:, 1] *= 2 ** 38
+    keys = _row_keys(rows, radices)
+    assert keys.dtype == np.int64
+    distinct_rows = len({tuple(r) for r in rows.tolist()})
+    assert len(set(keys.tolist())) == distinct_rows
+    for i in range(0, 500, 7):
+        for j in range(0, 500, 11):
+            assert (keys[i] == keys[j]) == (rows[i] == rows[j]).all()
+
+
+def _sympy_standard_columns(pres):
+    """The columns of sympy's HLT enumeration of ``pres`` over the
+    trivial subgroup, compressed and standardized."""
+    free, *gens = free_group(", ".join(
+        f"x{g}" for g in range(pres.num_generators)))
+    relators = [math.prod((gens[g] ** e for g, e in w.letters),
+                          start=free.identity) for w in pres.relators]
+    # the enumeration reads only these two attributes; an FpGroup would
+    # also build a rewriting system, which takes seconds on long relators
+    group = SimpleNamespace(generators=gens, relators=relators)
+    table = coset_enumeration_r(group, [])
+    table.compress()
+    table.standardize()
+    return tuple(zip(*table.table))
+
+
+def test_enumeration_matches_sympy_on_small_corpus_groups(built_groups):
+    # an independent enumerator: sympy's HLT, standardized like ours
+    checked = 0
+    for name, group in built_groups.items():
+        if group.kind != REFLECTION or group.order > 500:
+            continue
+        checked += 1
+        assert (_sympy_standard_columns(group.pres)
+                == standardize(enumerate_cosets(group.pres))), name
+    assert checked == 15
+
+
+@settings(max_examples=40, deadline=None)
+@given(periods=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+       letters=st.lists(st.integers(0, 3), min_size=2, max_size=5),
+       power=st.integers(2, 8))
+def test_enumeration_matches_sympy_on_drawn_presentations(periods, letters,
+                                                          power):
+    # a string Coxeter symbol plus one drawn relator, order <= 200
+    rank = len(periods) + 1
+    extra = math.prod((Word.gen(g % rank) for g in letters),
+                      start=Word(()))
+    assume(extra ** power)
+    pres = make_presentation(REFLECTION, rank, periods,
+                             extra_relators=[extra ** power])
+    try:
+        table = enumerate_cosets(pres, (), max_cosets=200)
+    except CosetLimitExceeded:
+        assume(False)
+    assert _sympy_standard_columns(pres) == standardize(table)

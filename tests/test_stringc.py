@@ -1,5 +1,7 @@
 """String group construction, the intersection condition, duality."""
 
+import itertools
+import math
 from dataclasses import fields
 
 import pytest
@@ -7,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from polyflag import stringc
 from polyflag.corpus import corpus_names, load_entry
-from polyflag.coset_enum import (CosetLimitExceeded, coset_action,
-                                 enumerate_cosets)
+from polyflag.coset_enum import (CosetLimitExceeded, InternalError,
+                                 coset_action, enumerate_cosets)
 from polyflag.permgroup import orbit, word_image
 from polyflag.presentation import (Word, Presentation, make_presentation,
-                                   REFLECTION, ROTATION)
+                                   REFLECTION, ROTATION, coxeter_order)
 from polyflag.stringc import (
     SggiViolation, CoxeterLimitExceeded, StringGroup, build_string_group,
     is_string_c_group, intersection_condition_exhaustive, dual,
@@ -19,6 +21,8 @@ from polyflag.stringc import (
 from polyflag.chiral import (RotationGroup, RotationViolation,
                              build_rotation_group, rotation_torus_map,
                              _mirror_images)
+
+from oracles import standardize
 
 
 def cox(*periods):
@@ -59,6 +63,40 @@ def test_bare_coxeter_refused_exactly_when_order_exceeds_cap():
 def test_finite_bare_coxeter_under_default_cap_still_builds():
     group = build_string_group(make_presentation(REFLECTION, 4, [3, 3, 5]))
     assert group.order == 14400
+
+
+SMALL_FINITE_SYMBOLS = [
+    symbol for rank in range(1, 6)
+    for symbol in itertools.product(range(2, 7), repeat=rank - 1)
+    if (coxeter_order(symbol) or math.inf) <= 15_000]
+
+
+def test_small_finite_symbols_are_counted():
+    # reducible symbols (entries 2) included, rank 1 as the empty symbol
+    assert len(SMALL_FINITE_SYMBOLS) == 196
+    assert () in SMALL_FINITE_SYMBOLS and (2, 2, 2, 2) in SMALL_FINITE_SYMBOLS
+
+
+@pytest.mark.parametrize("symbol", SMALL_FINITE_SYMBOLS,
+                         ids=lambda s: "[" + ",".join(map(str, s)) + "]")
+def test_flag_orbit_is_the_standard_regular_action(symbol):
+    # the flag walk gives the enumerated table, standard-numbered, builds
+    # at a cap of exactly the order and is refused below it
+    order = coxeter_order(symbol)
+    pres = make_presentation(REFLECTION, len(symbol) + 1, symbol)
+    group = build_string_group(pres, max_cosets=order)
+    assert group.table.columns == standardize(enumerate_cosets(pres))
+    with pytest.raises(CoxeterLimitExceeded):
+        build_string_group(pres, max_cosets=order - 1)
+
+
+def test_short_flag_orbit_is_an_internal_error(monkeypatch):
+    # a closed form that claims [3,3] has order 48 leaves an orbit of 24
+    # points short: a bug, not a reason to enumerate instead
+    monkeypatch.setattr(stringc, "coxeter_order", lambda symbol: 48)
+    pres = make_presentation(REFLECTION, 3, [3, 3])
+    with pytest.raises(InternalError, match="orbit has 24 points"):
+        build_string_group(pres)
 
 
 def test_coxeter_with_extra_relators_still_enumerates():

@@ -23,17 +23,21 @@ Then it imports ``polyflag`` from ``CHECKOUT/src`` and enumerates a
 fixed set of presentations over the trivial subgroup.  Each line gives
 the label, the coset cap, and either the coset count with the first 16
 hex digits of ``sha256(json.dumps(table.action))`` or the high-water
-mark of the ``CosetLimitExceeded`` it raised.  Last come the digests of
-the tables of groups reached other ways: rotation torus maps (through
-the pair orbit of ``pair_orbit_table``, the dual of a {3,6} map, or the
-plain enumeration a degenerate torus falls back to) and the ``dual`` of
-corpus groups.
+mark of the ``CosetLimitExceeded`` it raised.  Last come the tables of
+groups: ``build_string_group`` on [3,3,5] and [4,3,3,3,3], rotation
+torus maps (through the pair orbit of ``pair_orbit_table``, the dual of
+a {3,6} map, or the plain enumeration a degenerate torus falls back to)
+and the ``dual`` of corpus groups.  Each of these lines digests the
+table's standard form, a breadth-first renumbering from point 0 that
+reads each point's images column by column, so it names the group's
+action whichever route built it and however that route numbers points.
 
 Run it on two checkouts (say, a ``git archive`` of the parent commit and
 the working tree) and diff the output: a change that keeps every report
-byte for byte and keeps coset numbering leaves it unchanged.  The table
-digests in ``tests/test_coset_enum.py`` were recorded this way and are
-kept by hand; do not regenerate them from a changed enumerator.
+byte for byte, keeps the enumerator's coset numbering and keeps each
+group's action leaves it unchanged.  The table digests in
+``tests/test_coset_enum.py`` were recorded this way and are kept by
+hand; do not regenerate them from a changed enumerator.
 """
 
 import hashlib
@@ -102,9 +106,12 @@ CASES = (
      60),
 )
 
-# (label, route, arguments): a torus map is rotation_torus_map(*arguments),
-# a dual is dual() of the corpus group of that name
+# (label, route, arguments): a build is build_string_group of the Coxeter
+# symbol, a torus map is rotation_torus_map(*arguments), a dual is dual()
+# of the corpus group of that name
 GROUP_CASES = (
+    ("build [3,3,5]", "build", ((3, 3, 5),)),
+    ("build [4,3,3,3,3]", "build", ((4, 3, 3, 3, 3),)),
     ("torus 44 1 2", "torus", ("44", 1, 2)),
     ("torus 36 8 11", "torus", ("36", 8, 11)),
     ("torus 63 2 1", "torus", ("63", 2, 1)),  # the dual of {3,6}_(2,1)
@@ -175,11 +182,31 @@ def print_table_digests(root):
                  else build_rotation_group)
         return dual(build(pres))
 
-    routes = {"torus": rotation_torus_map, "dual": corpus_dual}
+    def coxeter_build(symbol):
+        return build_string_group(parse_presentation(_coxeter_text(symbol)))
+
+    routes = {"build": coxeter_build, "torus": rotation_torus_map,
+              "dual": corpus_dual}
     for label, route, arguments in GROUP_CASES:
         table = routes[route](*arguments).table
-        action = json.dumps(table.action).encode()
+        action = json.dumps(standard_rows(table.columns)).encode()
         print(f"{label}\t{table.num_cosets} {digest(action)}")
+
+
+def standard_rows(columns):
+    """The rows of the table in standard form: points renumbered in the
+    order a breadth-first walk from point 0 first sees them, reading each
+    point's images column by column."""
+    new = [-1] * len(columns[0])
+    new[0] = 0
+    seen = [0]
+    for c in seen:  # the list grows while it is walked
+        for col in columns:
+            d = col[c]
+            if new[d] < 0:
+                new[d] = len(seen)
+                seen.append(d)
+    return [[new[col[c]] for col in columns] for c in seen]
 
 
 def digest(data):
