@@ -11,12 +11,12 @@ from .presentation import (Word, Presentation, PresentationError,
                            REFLECTION, ROTATION, make_presentation,
                            parse_presentation, serialize_presentation,
                            coxeter_order)
-from .coset_enum import (CosetTable, CosetLimitExceeded, InternalError,
+from .coset_enum import (CosetTable, CosetLimitExceeded,
+                         CoxeterLimitExceeded, InternalError,
                          DEFAULT_MAX_COSETS, enumerate_cosets, coset_action)
 from .permgroup import (Perm, word_image, orbit, build_chain,
                         membership_test, intersect_subgroups)
 from .stringc import (RegularGroup, StringGroup, SggiViolation,
-                      CoxeterLimitExceeded,
                       CGroupVerdict, IntersectionWitness, build_string_group,
                       is_string_c_group, intersection_condition_exhaustive,
                       dual)

@@ -31,12 +31,12 @@ subgroup of a rank set I is Gamma_I (RotationGroup.parabolic_orbit), so
 stringc.is_string_c_group runs unchanged: it holds when G is a string
 C+-group, the rotation group of a chiral or a directly regular polytope.
 
-A torus map's regular action comes from its m vertices, the cosets of
-<s2>: G permutes pairs of vertices, and s2^q = 1 bounds |G| by q m, so
-an orbit of q m vertex pairs certifies that G acts on it regularly.
-The degenerate tori, where a vertex pair has a nontrivial stabilizer,
-enumerate G over the trivial subgroup instead; vertices past the coset
-cap put G past it too, so that is final.
+build_rotation_group takes G's regular action from
+coset_enum.pair_orbit_table where it certifies: the orbit of the vertex
+pair (<s2>, <s2> s1) among the cosets of <s2>.  Elsewhere (no relator
+s2^q, or a pair with a stabilizer, as on the degenerate tori) it
+enumerates G over the trivial subgroup; a cap hit over <s2> is final,
+since G is past the cap too.
 """
 
 from __future__ import annotations
@@ -97,13 +97,15 @@ class RotationGroup(RegularGroup):
 
 
 def build_rotation_group(pres, max_cosets=DEFAULT_MAX_COSETS):
-    """Enumerate a rotation presentation and validate its shape
-    (RotationGroup.check_shape)."""
+    """Build a rotation presentation's regular action (the orbit of a
+    vertex pair where coset_enum.pair_orbit_table certifies it, else an
+    enumeration) and validate its shape (RotationGroup.check_shape)."""
     if pres.kind != ROTATION:
         raise ValueError("rotation groups are built from rotation "
                          "presentations")
-    return RotationGroup.from_table(pres,
-                                    enumerate_cosets(pres, (), max_cosets))
+    table = (pair_orbit_table(pres, max_cosets)
+             or enumerate_cosets(pres, (), max_cosets))
+    return RotationGroup.from_table(pres, table)
 
 
 def _mirror(m):
@@ -312,8 +314,9 @@ def rotation_torus_map(kind, b, c, max_cosets=DEFAULT_MAX_COSETS):
     reflection-side ones; the order certificate (certify) is half the
     flag count.
     {6,3}_(b,c) is the dual of {3,6}_(b,c), so it is built as one.
-    The regular action is the orbit of the base vertex and a neighbour
-    of it on the base face (coset_enum.pair_orbit_table over <s2>)."""
+    build_rotation_group builds it, so its regular action is the orbit
+    of the base vertex and a neighbour of it on the base face, except
+    on the degenerate tori, where such a pair has a stabilizer."""
     kind = torus_kind(kind)
     check_torus_params(b, c)
     if kind == "63":
@@ -328,9 +331,7 @@ def rotation_torus_map(kind, b, c, max_cosets=DEFAULT_MAX_COSETS):
     y = s2.inverse() * x * s2
     pres = make_presentation(ROTATION, 3, symbol,
                              extra_relators=[x ** b * y ** c])
-    table = pair_orbit_table(pres, 1, s1, max_cosets)
-    group = (build_rotation_group(pres, max_cosets) if table is None
-             else RotationGroup.from_table(pres, table))
+    group = build_rotation_group(pres, max_cosets)
     certify("order", torus_order(kind, b, c) // 2, group.order)
     return group
 

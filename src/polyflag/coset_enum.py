@@ -37,15 +37,15 @@ every relator, and with coset 0 fixed by the subgroup words, each relator
 traced from all cosets at once with numpy on the table's columns.
 
 Two routes reach a regular action without enumerating over the trivial
-subgroup.  ``pair_orbit_table`` enumerates the cosets of a cyclic subgroup
-and walks the orbit of a pair of them, which is regular when its size
-meets the bound the subgroup's period sets; its tables are numbered in
-visit order.  ``flag_orbit_table`` builds a finite string Coxeter group
-(``stringc.build_string_group`` sends it each bare Coxeter presentation
-within the cap) from the cosets of its maximal parabolics, as the orbit
-of the base flag; its orbit is certified regular by the group's order in
-closed form, and its tables are in the standard numbering, the
-enumerated table renumbered breadth-first from coset 0.
+subgroup.  Each returns a proved table, or None where it does not apply,
+so a builder reads ``route(pres, cap) or enumerate_cosets(pres, (),
+cap)``.  ``flag_orbit_table`` takes a bare string Coxeter presentation
+(its symbol's relators alone), refuses it if its closed-form order is
+infinite or over the cap, and walks the base flag's orbit over the
+cosets of the maximal parabolics, in the standard numbering.
+``pair_orbit_table`` takes a presentation with a relator s2^q and walks
+the orbit of the pair (<s2>, <s2> s1), which is regular when it has q
+times as many points as <s2> has cosets; it numbers them in visit order.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .presentation import Word
+from .presentation import Word, coxeter_order, coxeter_relators
 from .permgroup import Perm
 
 DEFAULT_MAX_COSETS = 2_000_000
@@ -82,6 +82,26 @@ class CosetLimitExceeded(Exception):
             f" (high water {high_water} live cosets)")
         self.max_cosets = max_cosets
         self.high_water = high_water
+
+
+class CoxeterLimitExceeded(CosetLimitExceeded):
+    """A bare string Coxeter group refused before enumeration: its order
+    in closed form (``order``, None if infinite) is over the coset limit,
+    so enumeration could only end at the limit.  Nothing was enumerated,
+    so ``high_water`` is 0.
+    """
+
+    def __init__(self, schlafli, order, max_cosets):
+        symbol = "[" + ",".join("inf" if p is None else str(p)
+                                for p in schlafli) + "]"
+        size = "is infinite" if order is None else f"has order {order}"
+        Exception.__init__(
+            self, f"string Coxeter group {symbol} {size},"
+                  f" over the coset limit {max_cosets}")
+        self.max_cosets = max_cosets
+        self.high_water = 0
+        self.schlafli = schlafli
+        self.order = order
 
 
 class InternalError(AssertionError):
@@ -412,23 +432,22 @@ def _relator_columns(pres):
     return relators
 
 
-def pair_orbit_table(pres, gen, word, max_cosets=DEFAULT_MAX_COSETS):
-    """The regular action of the presented group as the orbit of a pair
-    of cosets of H = <s>, s generator ``gen``, or None when that orbit
-    is not certified regular.
+def pair_orbit_table(pres, max_cosets=DEFAULT_MAX_COSETS):
+    """The regular action of a rotation group as the orbit of a pair of
+    cosets of H = <s2>, or None when that orbit is not certified regular.
 
     H is enumerated first; say it has m cosets.  The group acts on
-    pairs of them, and the orbit O of (H, H w), w = ``word``, is
-    walked breadth-first and numbered in visit order, so its start is
-    point 0.  Relators s^q bound |H| by q (the gcd of their lengths), so
-    |O| <= |G| <= q m, and when |O| = q m the point stabilizer is
-    trivial: the action on O is the regular action, numbered otherwise
-    than an enumeration over the trivial subgroup numbers it.  With no
-    relator s^q there is no bound and the result is None, as it is when
-    |O| < q m, so the caller can enumerate the group plainly.  More than
-    ``max_cosets`` cosets of H or points of O raise CosetLimitExceeded:
-    then |G| is over the cap too.  The table is proved like every
-    enumerated one.
+    pairs of them, and the orbit O of (H, H s1) is walked breadth-first
+    and numbered in visit order, so its start is point 0.  Relators s2^q
+    bound |H| by q (the gcd of their lengths), so |O| <= |G| <= q m, and
+    when |O| = q m the point stabilizer is trivial: the action on O is
+    the regular action, numbered otherwise than an enumeration over the
+    trivial subgroup numbers it.  With no relator s2^q (a rank-2
+    rotation presentation has no s2) there is no bound and the result
+    is None, as it is when |O| < q m, so the caller enumerates the group
+    plainly.  More than ``max_cosets`` cosets of H or points of O raise
+    CosetLimitExceeded, which is final: then |G| is over the cap too.
+    The table is proved like every enumerated one.
 
     The walk is plain Python, point by point: torus orbits are thin and
     many layers deep, so the layered numpy walk of ``flag_orbit_table``
@@ -436,12 +455,12 @@ def pair_orbit_table(pres, gen, word, max_cosets=DEFAULT_MAX_COSETS):
     chiral-cover tori it took 12.3 ms per pass against 6.4 ms).
     """
     powers = [len(w) for w in pres.relators
-              if len(set(w.letters)) == 1 and w.letters[0][0] == gen]
+              if len(set(w.letters)) == 1 and w.letters[0][0] == 1]
     if not powers:
         return None
-    cosets = enumerate_cosets(pres, (Word.gen(gen),), max_cosets)
+    cosets = enumerate_cosets(pres, (Word.gen(1),), max_cosets)
     m = cosets.num_cosets
-    start = cosets.trace(0, word)
+    start = cosets.columns[0][0]  # H s1
     index = {start: 0}  # point (a, b) is keyed a * m + b
     points = [(0, start)]
     columns = [(col, []) for col in cosets.columns]
@@ -463,50 +482,56 @@ def pair_orbit_table(pres, gen, word, max_cosets=DEFAULT_MAX_COSETS):
     return table
 
 
-def flag_orbit_table(pres, order, max_cosets=DEFAULT_MAX_COSETS):
-    """The regular action of a finite string Coxeter group of the given
-    ``order`` (its closed form) as the orbit of the base flag, in the
-    standard numbering.
+def flag_orbit_table(pres, max_cosets=DEFAULT_MAX_COSETS):
+    """The regular action of a finite string Coxeter group as the orbit
+    of the base flag, in the standard numbering; None unless the
+    presentation is bare Coxeter (its symbol's relators alone).
 
-    Face i of the base flag is the coset G_i of its stabilizer, the
-    maximal parabolic G_i = <r_j : j != i>, whose cosets are enumerated
-    first (their counts are the f-vector).  The group acts on n-tuples of
-    such cosets, and the orbit O of the base flag (G_0, ..., G_{n-1}) is
-    walked breadth-first, each point's images taken column by column, and
-    numbered in visit order: the standard numbering, coset 0 first.  In a
-    finite Coxeter group the standard parabolics meet as W_I & W_J =
-    W_{I&J}, so the G_i meet trivially and |O| = ``order`` certifies the
-    action regular.  Any other size is a bug (InternalError); more than
-    ``max_cosets`` points raise CosetLimitExceeded.  The table is proved
-    like every enumerated one.
+    The order is known in closed form (``coxeter_order``): an infinite
+    group, or one over ``max_cosets``, raises CoxeterLimitExceeded at
+    once, since enumerating it could only end at the limit.  Face i of
+    the base flag is the coset G_i of its stabilizer, the maximal
+    parabolic G_i = <r_j : j != i>, whose cosets are enumerated first
+    (their counts are the f-vector).  The group acts on n-tuples of such
+    cosets, and the orbit O of the base flag (G_0, ..., G_{n-1}) is
+    walked breadth-first, generator by generator, and numbered in visit
+    order, coset 0 first.  In a finite Coxeter group the standard
+    parabolics meet as W_I & W_J = W_{I&J}, so the G_i meet trivially
+    and |O| = order certifies the action regular.  An orbit of any other
+    size is a bug (InternalError): the walk stops once it passes the
+    order, which is within the cap.  The table is proved like every
+    enumerated one.
 
     The walk is numpy, one breadth-first layer at a time.  Every
-    column's inverse is a column too, so an image of layer L lies in
-    layer L-1, L or L+1, and new points are found by matching each
-    layer's images against those two layers only.  An inverse column
-    equal to its generator's (every generator of a Coxeter group) is not
-    walked: it finds nothing new and shares its generator's tuple.  This
+    generator is an involution, its own inverse, so an image of layer L
+    lies in layer L-1, L or L+1, and new points are found by matching
+    each layer's images against those two layers only; one column per
+    generator is walked, and its tuple is the inverse column too.  This
     pays on these wide, shallow orbits; ``pair_orbit_table`` walks its
-    thin, deep torus orbits in plain Python, where a numpy call per layer
-    costs more than it saves.
+    thin, deep torus orbits in plain Python, where a numpy call per
+    layer costs more than it saves.
     """
+    sym = pres.declared_schlafli
+    if (sym is None
+            or pres.relators != tuple(coxeter_relators(pres.rank, sym))):
+        return None
+    order = coxeter_order(sym)
+    if order is None or order > max_cosets:
+        raise CoxeterLimitExceeded(sym, order, max_cosets)
     n = pres.num_generators
     tables = [enumerate_cosets(pres, [Word.gen(j) for j in range(n) if j != i],
                                max_cosets)
               for i in range(n)]
     radices = [t.num_cosets for t in tables]
-    walked = [x for x in range(2 * n) if x % 2 == 0
-              or any(t.columns[x] != t.columns[x - 1] for t in tables)]
-    # images[i][w][c]: coset c of G_i under the w-th walked column
-    images = [np.array([t.columns[x] for x in walked], dtype=np.int64)
-              for t in tables]
+    # images[i][g][c]: coset c of G_i under generator g
+    images = [np.array(t.columns[::2], dtype=np.int64) for t in tables]
     before = np.empty((0, n), dtype=np.int64)  # layer L-1, as rows
     layer = np.zeros((1, n), dtype=np.int64)   # layer L, from point `start`
     start = 0
     found = []  # per layer: its points' images, a row per point
     while len(layer):
         k = len(layer)
-        # candidate (p, w) is layer point p under walked column w
+        # candidate (p, g) is layer point p under generator g
         cand = np.stack([im[:, layer[:, i]].T.ravel()
                          for i, im in enumerate(images)], axis=1)
         known = len(before) + k
@@ -516,25 +541,23 @@ def flag_orbit_table(pres, order, max_cosets=DEFAULT_MAX_COSETS):
         # a key first seen among the candidates is a new point; number
         # the new points in the order they are first seen
         new = np.sort(first[first >= known])
+        if start + k + len(new) > order:
+            raise InternalError(f"the base flag's orbit has more than"
+                                f" {order} points, the group order")
         number = np.empty(len(rows), dtype=np.int64)
         number[:known] = np.arange(start - len(before), start + k)
         number[new] = np.arange(start + k, start + k + len(new))
-        if start + k + len(new) > max_cosets:
-            raise CosetLimitExceeded(max_cosets, max_cosets)
-        found.append(number[first[where[known:]]].reshape(k, len(walked)))
+        found.append(number[first[where[known:]]].reshape(k, n))
         before, layer, start = layer, rows[new], start + k
     if start != order:
         raise InternalError(f"the base flag's orbit has {start} points,"
                             f" not the group order {order}")
-    found = np.concatenate(found).T  # a row per walked column
     ids = list(range(start))  # one int object per point, shared by columns
     columns = []
-    for x in range(2 * n):
-        if x in walked:  # converted one column at a time, to keep RSS low
-            columns.append(tuple(map(ids.__getitem__,
-                                     found[walked.index(x)].tolist())))
-        else:
-            columns.append(columns[x - 1])
+    # a row per generator, converted one at a time to keep RSS low
+    for row in np.concatenate(found).T:
+        col = tuple(map(ids.__getitem__, row.tolist()))
+        columns += (col, col)
     table = CosetTable(tuple(columns))
     prove_table(pres, table)
     return table

@@ -21,36 +21,16 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 
-from .presentation import (Word, KINDS, REFLECTION, coxeter_order,
-                           coxeter_relators, shape_relators)
+import numpy as np
+
+from .presentation import Word, KINDS, REFLECTION, shape_relators
 from .coset_enum import (enumerate_cosets, flag_orbit_table, coset_action,
-                         prove_table, CosetLimitExceeded, InternalError,
-                         DEFAULT_MAX_COSETS)
+                         prove_table, InternalError, DEFAULT_MAX_COSETS)
 from .permgroup import orbit, word_image
 
 
 class SggiViolation(Exception):
     """The presented group is not a string group on involutions."""
-
-
-class CoxeterLimitExceeded(CosetLimitExceeded):
-    """A bare string Coxeter group refused before enumeration: its order
-    in closed form (``order``, None if infinite) is over the coset limit,
-    so enumeration could only end at the limit.  Nothing was enumerated,
-    so ``high_water`` is 0.
-    """
-
-    def __init__(self, schlafli, order, max_cosets):
-        symbol = "[" + ",".join("inf" if p is None else str(p)
-                                for p in schlafli) + "]"
-        size = "is infinite" if order is None else f"has order {order}"
-        Exception.__init__(
-            self, f"string Coxeter group {symbol} {size},"
-                  f" over the coset limit {max_cosets}")
-        self.max_cosets = max_cosets
-        self.high_water = 0
-        self.schlafli = schlafli
-        self.order = order
 
 
 @dataclass(frozen=True)
@@ -126,8 +106,13 @@ class RegularGroup:
     def is_trivial(self, word):
         """Is the word the identity?  Every group here acts freely (a
         built group regularly, a section or a mirror inside one), so
-        exactly when it fixes point 0."""
-        return word_image(self.gens, word)(0) == 0
+        exactly when it fixes point 0, which is traced letter by letter:
+        an inverse letter reads the point's preimage."""
+        p = 0
+        for g, e in word.letters:
+            images = self.gens[g].images
+            p = int(images[p] if e > 0 else np.flatnonzero(images == p)[0])
+        return p == 0
 
     def check_shape(self):
         """Raise the class's violation if its own clause fails, or else
@@ -206,26 +191,16 @@ class StringGroup(RegularGroup):
 
 def build_string_group(pres, max_cosets=DEFAULT_MAX_COSETS):
     """Build the group's regular action and check it really is a string
-    group (StringGroup.check_shape raises SggiViolation if not).  A bare
-    Coxeter presentation (the declared symbol's relators and nothing
-    else) whose closed-form order is infinite or over ``max_cosets``
-    raises CoxeterLimitExceeded at once: enumerating it could only end
-    at the limit.  One within the limit is built as the orbit of its
-    base flag (coset_enum.flag_orbit_table), certified by that order;
-    every other presentation is enumerated over the trivial subgroup.
+    group (StringGroup.check_shape raises SggiViolation if not).  The
+    action is the orbit of the base flag where coset_enum.flag_orbit_table
+    applies (it also refuses an infinite or over-the-cap bare Coxeter
+    group), else an enumeration over the trivial subgroup.
     """
     if pres.kind != REFLECTION:
         raise ValueError("string groups are built from reflection "
                          "presentations")
-    sym = pres.declared_schlafli
-    if (sym is not None
-            and pres.relators == tuple(coxeter_relators(pres.rank, sym))):
-        order = coxeter_order(sym)
-        if order is None or order > max_cosets:
-            raise CoxeterLimitExceeded(sym, order, max_cosets)
-        table = flag_orbit_table(pres, order, max_cosets)
-    else:
-        table = enumerate_cosets(pres, (), max_cosets)
+    table = (flag_orbit_table(pres, max_cosets)
+             or enumerate_cosets(pres, (), max_cosets))
     return StringGroup.from_table(pres, table)
 
 

@@ -1,6 +1,7 @@
 """Rotation groups: chirality, enantiomorphs, mixing, bounds, audits."""
 
 import functools
+import itertools
 import math
 
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import given, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from polyflag.presentation import (Word, Presentation, make_presentation,
-                                   REFLECTION, ROTATION)
+                                   REFLECTION, ROTATION, coxeter_order)
 from polyflag.constructions import (CertificateMismatch, coxeter, torus_map,
                                     torus_order)
-from polyflag.coset_enum import CosetLimitExceeded, InternalError
+from polyflag.coset_enum import (CosetLimitExceeded, InternalError,
+                                 enumerate_cosets, pair_orbit_table)
 from polyflag.analysis import (FlagBound, analyze, f_vector, flatness_spectrum,
                                is_tight)
 from polyflag import chiral
@@ -700,7 +702,8 @@ def test_torus_route_matches_plain_enumeration(kind):
             if (b, c) == (0, 0):
                 continue
             group = rotation_torus_map(kind, b, c)
-            plain = build_rotation_group(group.pres)
+            plain = RotationGroup.from_table(group.pres,
+                                             enumerate_cosets(group.pres))
             assert group.order == plain.order, (b, c)
             assert chiral_report(group) == chiral_report(plain), (b, c)
 
@@ -708,13 +711,13 @@ def test_torus_route_matches_plain_enumeration(kind):
 @pytest.mark.parametrize("kind", ["44", "36"])
 def test_only_degenerate_tori_fall_back(kind, monkeypatch):
     fell_back = []
-    build = chiral.build_rotation_group
+    enumerate_plainly = chiral.enumerate_cosets
 
-    def plain(pres, max_cosets):
+    def plain(pres, subgroup_words, max_cosets):
         fell_back.append(pres)
-        return build(pres, max_cosets)
+        return enumerate_plainly(pres, subgroup_words, max_cosets)
 
-    monkeypatch.setattr(chiral, "build_rotation_group", plain)
+    monkeypatch.setattr(chiral, "enumerate_cosets", plain)
     degenerate = set()
     for b in range(7):
         for c in range(7):
@@ -759,7 +762,7 @@ def test_torus_vertex_enumeration_over_the_cap_is_final(monkeypatch):
     def enumerate_plainly(*args):
         raise AssertionError("fell back to a plain enumeration")
 
-    monkeypatch.setattr(chiral, "build_rotation_group", enumerate_plainly)
+    monkeypatch.setattr(chiral, "enumerate_cosets", enumerate_plainly)
     with pytest.raises(CosetLimitExceeded) as info:
         rotation_torus_map("44", 3, 5, max_cosets=20)
     assert str(info.value) == (
@@ -773,3 +776,31 @@ def test_torus_fits_a_cap_equal_to_its_order(kind, b, c):
     order = torus_order(kind, b, c) // 2
     group = rotation_torus_map(kind, b, c, max_cosets=order)
     assert group.order == order
+
+
+# -- every rotation presentation takes the vertex-pair route ---------------
+
+FINITE_ROTATION_SYMBOLS = [
+    symbol for rank in range(2, 6)
+    for symbol in itertools.product(range(2, 7), repeat=rank - 1)
+    if (coxeter_order(symbol) or math.inf) <= 2000]
+
+
+def test_finite_rotation_symbols_match_plain_enumeration():
+    # build_rotation_group takes the vertex-pair route wherever it
+    # certifies (every symbol of rank 3 or more whose first entry is not
+    # 2), builds at a cap of the order either way, and gives the group
+    # and the report a plain enumeration gives
+    assert len(FINITE_ROTATION_SYMBOLS) == 189
+    routed = 0
+    for symbol in FINITE_ROTATION_SYMBOLS:
+        pres = make_presentation(ROTATION, len(symbol) + 1, symbol)
+        order = coxeter_order(symbol) // 2
+        certified = pair_orbit_table(pres, order) is not None
+        assert certified == (len(symbol) > 1 and symbol[0] != 2), symbol
+        routed += certified
+        group = build_rotation_group(pres, max_cosets=order)
+        plain = RotationGroup.from_table(pres, enumerate_cosets(pres))
+        assert group.order == plain.order == order, symbol
+        assert chiral_report(group) == chiral_report(plain), symbol
+    assert routed == 123

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from polyflag import (analysis, chiral, cli, constructions, coset_enum,
-                      corpus, stringc)
+                      corpus)
 from polyflag.cli import main, build_parser, ENV_MAX_COSETS
 from polyflag.constructions import FAMILIES
 from polyflag.corpus import entry_text, load_entry
@@ -298,7 +298,7 @@ def test_internal_error_exits_1_without_traceback(tmp_path, capsys,
 
 def test_short_flag_orbit_exits_1(tmp_path, capsys, monkeypatch):
     # the closed form claims [3,3] has order 48; the orbit has 24 points
-    monkeypatch.setattr(stringc, "coxeter_order", lambda symbol: 48)
+    monkeypatch.setattr(coset_enum, "coxeter_order", lambda symbol: 48)
     code, out, err = run(capsys, "analyze", corpus_file(tmp_path,
                                                         "coxeter-3-3"))
     assert code == 1

@@ -8,8 +8,9 @@ import pytest
 
 from polyflag.presentation import (Word, REFLECTION, PresentationError,
                                    make_presentation)
-from polyflag.stringc import (CoxeterLimitExceeded, SggiViolation,
-                              build_string_group, is_string_c_group)
+from polyflag.coset_enum import CoxeterLimitExceeded
+from polyflag.stringc import (SggiViolation, build_string_group,
+                              is_string_c_group)
 from polyflag.analysis import analyze, is_flat, min_nonflat_flags, f_vector
 from polyflag.corpus import load_entry
 from polyflag.chiral import rotation_torus_map

@@ -18,7 +18,7 @@ from polyflag.corpus import load_entry
 from polyflag.presentation import (Word, Presentation, make_presentation,
                                    parse_presentation, REFLECTION, ROTATION)
 from polyflag.coset_enum import (
-    CosetLimitExceeded, enumerate_cosets, coset_action,
+    CosetLimitExceeded, CoxeterLimitExceeded, enumerate_cosets, coset_action,
     InternalError, relators_close, word_to_columns, pair_orbit_table,
     flag_orbit_table, prove_table, _Enumerator, _row_keys,
 )
@@ -372,7 +372,7 @@ def test_enumerate_and_pair_orbit_prove_through_prove_table(monkeypatch):
 
     pres = _torus_pres("44", 1, 2)
     monkeypatch.setattr(coset_enum, "prove_table", spy)
-    pair_orbit_table(pres, 1, Word.gen(0))
+    pair_orbit_table(pres)
     assert proved == [(5, (Word.gen(1),)), (20, ())]
 
 
@@ -416,7 +416,7 @@ def _torus_pres(kind, b, c):
 def test_pair_orbit_table_is_the_regular_action(kind, b, c, period):
     pres = _torus_pres(kind, b, c)
     vertices = enumerate_cosets(pres, (Word.gen(1),)).num_cosets
-    table = pair_orbit_table(pres, 1, Word.gen(0))
+    table = pair_orbit_table(pres)
     # a transitive action of G on |G| points is the regular action
     order = enumerate_cosets(pres, ()).num_cosets
     assert table.num_cosets == period * vertices == order
@@ -426,7 +426,7 @@ def test_pair_orbit_table_is_the_regular_action(kind, b, c, period):
 
 def test_pair_orbit_table_rejects_a_pair_with_a_stabilizer():
     # {4,4}_(2,0) has double edges: the pair orbit is smaller than 4 m
-    assert pair_orbit_table(_torus_pres("44", 2, 0), 1, Word.gen(0)) is None
+    assert pair_orbit_table(_torus_pres("44", 2, 0)) is None
 
 
 def test_pair_orbit_table_needs_a_period():
@@ -435,20 +435,19 @@ def test_pair_orbit_table_needs_a_period():
     pres = Presentation(num_generators=2, kind=ROTATION,
                         relators=(s1 ** 4, (s1 * s2) ** 2, s2 * s1 ** 2))
     assert enumerate_cosets(pres, ()).num_cosets == 2
-    assert pair_orbit_table(pres, 1, s1) is None
+    assert pair_orbit_table(pres) is None
 
 
 def test_pair_orbit_table_over_the_cap():
     pres = _torus_pres("36", 11, 9)  # 301 vertices, order 1806
     with pytest.raises(CosetLimitExceeded) as info:
-        pair_orbit_table(pres, 1, Word.gen(0), max_cosets=1000)
+        pair_orbit_table(pres, max_cosets=1000)
     assert (info.value.max_cosets, info.value.high_water) == (1000, 1000)
     # enumerating the vertices passes a cap of 200, so |G| does too
     with pytest.raises(CosetLimitExceeded) as info:
-        pair_orbit_table(pres, 1, Word.gen(0), max_cosets=200)
+        pair_orbit_table(pres, max_cosets=200)
     assert info.value.max_cosets == 200
-    assert pair_orbit_table(pres, 1, Word.gen(0),
-                            max_cosets=1806).num_cosets == 1806
+    assert pair_orbit_table(pres, max_cosets=1806).num_cosets == 1806
 
 
 def test_limit_in_the_subgroup_phase():
@@ -463,12 +462,13 @@ def test_limit_in_the_subgroup_phase():
 
 
 def test_flag_orbit_table_over_the_cap():
-    # [3,3] has order 24; a walk capped at 23 points cannot finish
+    # [3,3] has order 24; at a cap of 23 it is refused before anything
+    # is enumerated
     pres = cox(3, 3)
-    with pytest.raises(CosetLimitExceeded) as info:
-        flag_orbit_table(pres, 24, max_cosets=23)
-    assert (info.value.max_cosets, info.value.high_water) == (23, 23)
-    assert flag_orbit_table(pres, 24, max_cosets=24).num_cosets == 24
+    with pytest.raises(CoxeterLimitExceeded) as info:
+        flag_orbit_table(pres, max_cosets=23)
+    assert (info.value.max_cosets, info.value.high_water) == (23, 0)
+    assert flag_orbit_table(pres, max_cosets=24).num_cosets == 24
 
 
 def test_flag_orbit_table_proves_through_prove_table(monkeypatch):
@@ -479,14 +479,14 @@ def test_flag_orbit_table_proves_through_prove_table(monkeypatch):
         proved.append((table.num_cosets, len(subgroup_words)))
 
     monkeypatch.setattr(coset_enum, "prove_table", spy)
-    flag_orbit_table(cox(3, 3), 24)
+    flag_orbit_table(cox(3, 3))
     # the three maximal parabolics (vertices, edges, faces), then the orbit
     assert proved == [(4, 2), (6, 2), (4, 2), (24, 0)]
 
 
 def test_flag_orbit_table_shares_objects():
     # one int object per point, one tuple for an involution's two columns
-    table = flag_orbit_table(cox(4, 3), 48)
+    table = flag_orbit_table(cox(4, 3))
     for g in range(3):
         assert table.columns[2 * g] is table.columns[2 * g + 1]
     first = {id(c) for c in table.columns[0]}
@@ -509,13 +509,20 @@ def test_row_keys_are_exact_past_int64():
             assert (keys[i] == keys[j]) == (rows[i] == rows[j]).all()
 
 
-def _sympy_standard_columns(pres):
+def _sympy_standard_columns(pres, letters_once=True):
     """The columns of sympy's HLT enumeration of ``pres`` over the
-    trivial subgroup, compressed and standardized."""
+    trivial subgroup, compressed and standardized.
+
+    sympy's scans read a relator only as ``len(w)`` and ``w[i]``, and its
+    ``__getitem__`` rebuilds the whole letter form on every call, so by
+    default each relator is handed over as the tuple of its letters,
+    looked up once."""
     free, *gens = free_group(", ".join(
         f"x{g}" for g in range(pres.num_generators)))
     relators = [math.prod((gens[g] ** e for g, e in w.letters),
                           start=free.identity) for w in pres.relators]
+    if letters_once:
+        relators = [tuple(w.letter_form_elm) for w in relators]
     # the enumeration reads only these two attributes; an FpGroup would
     # also build a rewriting system, which takes seconds on long relators
     group = SimpleNamespace(generators=gens, relators=relators)
@@ -535,6 +542,10 @@ def test_enumeration_matches_sympy_on_small_corpus_groups(built_groups):
         assert (_sympy_standard_columns(group.pres)
                 == standardize(enumerate_cosets(group.pres))), name
     assert checked == 15
+    # handing sympy the letters looked up once changes nothing
+    pres = built_groups["coxeter-3-3"].pres
+    assert (_sympy_standard_columns(pres)
+            == _sympy_standard_columns(pres, letters_once=False))
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from polyflag import stringc
 from polyflag.corpus import corpus_names, load_entry
-from polyflag.coset_enum import (CosetLimitExceeded, InternalError,
-                                 coset_action, enumerate_cosets)
+from polyflag import coset_enum
+from polyflag.coset_enum import (CosetLimitExceeded, CoxeterLimitExceeded,
+                                 InternalError, coset_action,
+                                 enumerate_cosets, flag_orbit_table)
 from polyflag.permgroup import orbit, word_image
 from polyflag.presentation import (Word, Presentation, make_presentation,
                                    REFLECTION, ROTATION, coxeter_order)
 from polyflag.stringc import (
-    SggiViolation, CoxeterLimitExceeded, StringGroup, build_string_group,
+    SggiViolation, StringGroup, build_string_group,
     is_string_c_group, intersection_condition_exhaustive, dual,
 )
 from polyflag.chiral import (RotationGroup, RotationViolation,
@@ -41,6 +43,8 @@ def test_infinite_bare_coxeter_refused_before_enumeration(monkeypatch):
         raise AssertionError("enumerated a refused presentation")
 
     monkeypatch.setattr("polyflag.stringc.enumerate_cosets",
+                        enumerate_nothing)
+    monkeypatch.setattr("polyflag.coset_enum.enumerate_cosets",
                         enumerate_nothing)
     for periods in ([4, 3, 4], [3, 6], [None, 3]):
         pres = make_presentation(REFLECTION, len(periods) + 1, periods)
@@ -93,10 +97,35 @@ def test_flag_orbit_is_the_standard_regular_action(symbol):
 def test_short_flag_orbit_is_an_internal_error(monkeypatch):
     # a closed form that claims [3,3] has order 48 leaves an orbit of 24
     # points short: a bug, not a reason to enumerate instead
-    monkeypatch.setattr(stringc, "coxeter_order", lambda symbol: 48)
+    monkeypatch.setattr(coset_enum, "coxeter_order", lambda symbol: 48)
     pres = make_presentation(REFLECTION, 3, [3, 3])
     with pytest.raises(InternalError, match="orbit has 24 points"):
         build_string_group(pres)
+
+
+def test_long_flag_orbit_is_an_internal_error(monkeypatch):
+    # a closed form that claims [3,3] has order 12: the walk stops as
+    # soon as it passes the claimed order
+    monkeypatch.setattr(coset_enum, "coxeter_order", lambda symbol: 12)
+    pres = make_presentation(REFLECTION, 3, [3, 3])
+    with pytest.raises(InternalError, match="orbit has more than 12 points"):
+        build_string_group(pres)
+
+
+def test_flag_orbit_table_applies_to_bare_coxeter_only(monkeypatch):
+    # an extra relator (the hemi-icosahedron's) or a rotation kind is not
+    # bare Coxeter: the route does not apply and enumerates nothing
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated for a route that does not apply")
+
+    hemi = load_entry("hemi-icosahedron")[0]
+    assert hemi.declared_schlafli == (3, 5)
+    with monkeypatch.context() as patch:
+        patch.setattr(coset_enum, "enumerate_cosets", enumerate_nothing)
+        assert flag_orbit_table(hemi) is None
+        assert flag_orbit_table(
+            make_presentation(ROTATION, 3, [3, 3])) is None
+    assert flag_orbit_table(cox(3, 3).pres).num_cosets == 24
 
 
 def test_coxeter_with_extra_relators_still_enumerates():
@@ -450,8 +479,11 @@ def test_is_trivial_is_the_identity_test(built_groups, drawn):
             n = len(g.gens)
             for ls in drawn:
                 w = Word(tuple((i % n, e) for i, e in ls))
-                assert g.is_trivial(w) == \
-                    word_image(g.gens, w).is_identity(), name
+                image = word_image(g.gens, w)
+                assert g.is_trivial(w) == image.is_identity(), name
+                # the action is free, so w has the length of 0's cycle
+                # as its order, and that power of w is trivial
+                assert g.is_trivial(w ** len(orbit([image], 0))), name
 
 
 def test_verdict_is_its_witness(built_groups):

@@ -24,13 +24,17 @@ fixed set of presentations over the trivial subgroup.  Each line gives
 the label, the coset cap, and either the coset count with the first 16
 hex digits of ``sha256(json.dumps(table.action))`` or the high-water
 mark of the ``CosetLimitExceeded`` it raised.  Last come the tables of
-groups: ``build_string_group`` on [3,3,5] and [4,3,3,3,3], rotation
-torus maps (through the pair orbit of ``pair_orbit_table``, the dual of
-a {3,6} map, or the plain enumeration a degenerate torus falls back to)
-and the ``dual`` of corpus groups.  Each of these lines digests the
-table's standard form, a breadth-first renumbering from point 0 that
-reads each point's images column by column, so it names the group's
-action whichever route built it and however that route numbers points.
+groups: ``build_string_group`` on [3,3,5] and [4,3,3,3,3];
+``build_rotation_group`` on the corpus entries rotation-338 and
+rotation-44-2-0 and on the rotation groups of {3,3,3,3} and {4,3,3,3};
+rotation torus maps (each built by ``build_rotation_group``: through
+the pair orbit of ``pair_orbit_table``, as the dual of a {3,6} map, or
+by the plain enumeration a degenerate torus, like rotation-44-2-0,
+falls back to); and the ``dual`` of corpus groups.  Each of these lines
+digests the table's standard form, a breadth-first renumbering from
+point 0 that reads each point's images column by column, so it names
+the group's action whichever route built it and however that route
+numbers points.
 
 Run it on two checkouts (say, a ``git archive`` of the parent commit and
 the working tree) and diff the output: a change that keeps every report
@@ -107,11 +111,18 @@ CASES = (
 )
 
 # (label, route, arguments): a build is build_string_group of the Coxeter
-# symbol, a torus map is rotation_torus_map(*arguments), a dual is dual()
-# of the corpus group of that name
+# symbol, a rotation is build_rotation_group of the corpus entry or the
+# symbol's rotation presentation, a torus map is
+# rotation_torus_map(*arguments), a dual is dual() of the corpus group of
+# that name
 GROUP_CASES = (
     ("build [3,3,5]", "build", ((3, 3, 5),)),
     ("build [4,3,3,3,3]", "build", ((4, 3, 3, 3, 3),)),
+    ("rotation corpus rotation-338", "rotation", ("rotation-338",)),
+    ("rotation {3,3,3,3}", "rotation", ((3, 3, 3, 3),)),
+    ("rotation {4,3,3,3}", "rotation", ((4, 3, 3, 3),)),
+    # enumeration fallback
+    ("rotation corpus rotation-44-2-0", "rotation", ("rotation-44-2-0",)),
     ("torus 44 1 2", "torus", ("44", 1, 2)),
     ("torus 36 8 11", "torus", ("36", 8, 11)),
     ("torus 63 2 1", "torus", ("63", 2, 1)),  # the dual of {3,6}_(2,1)
@@ -159,7 +170,8 @@ def print_table_digests(root):
     from polyflag.corpus import load_entry
     from polyflag.coset_enum import CosetLimitExceeded, enumerate_cosets
     from polyflag.chiral import build_rotation_group, rotation_torus_map
-    from polyflag.presentation import REFLECTION, parse_presentation
+    from polyflag.presentation import (REFLECTION, ROTATION,
+                                       make_presentation, parse_presentation)
     from polyflag.stringc import build_string_group, dual
 
     for label, text, cap in CASES:
@@ -185,8 +197,13 @@ def print_table_digests(root):
     def coxeter_build(symbol):
         return build_string_group(parse_presentation(_coxeter_text(symbol)))
 
-    routes = {"build": coxeter_build, "torus": rotation_torus_map,
-              "dual": corpus_dual}
+    def rotation_build(source):
+        pres = (load_entry(source)[0] if isinstance(source, str) else
+                make_presentation(ROTATION, len(source) + 1, source))
+        return build_rotation_group(pres)
+
+    routes = {"build": coxeter_build, "rotation": rotation_build,
+              "torus": rotation_torus_map, "dual": corpus_dual}
     for label, route, arguments in GROUP_CASES:
         table = routes[route](*arguments).table
         action = json.dumps(standard_rows(table.columns)).encode()
