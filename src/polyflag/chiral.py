@@ -15,12 +15,12 @@ relators yields the enantiomorph (mirror image) presentation, which
 presents an isomorphic group whether or not the polytope is chiral.
 
 That isomorphism needs no second enumeration: the enantiomorph's group
-is G itself, generated by the mirror images t_i (the substitution
-evaluated in G).  The mix of G with its mirror image projects onto G
-with kernel K, the elements w(t) for the words w with w(s) = 1, and the
-substitution extends to an automorphism exactly when K is trivial.  So
-the regular cover and the chirality verdict are both read off K, which
-mix_order finds from the two regular actions alone, with no presentation.
+is G itself on the mirror images t_i (the substitution evaluated in G,
+G.on_words), its table read off G's.  The mix of G with its mirror image
+projects onto G with kernel K, the elements w(t) for the words w with
+w(s) = 1, and the substitution extends to an automorphism exactly when
+K is trivial.  So the regular cover and the chirality verdict are both
+read off K, which mix_order finds from the two regular actions alone.
 Surjectivity needs no check, since the t_i always generate G:
 s_1 = (s_1^{-1})^{-1} and s_2 = s_1^{-2} (s_1^2 s_2).
 
@@ -45,13 +45,11 @@ import math
 from dataclasses import dataclass, replace
 
 from .presentation import Word, ROTATION, make_presentation
-from .coset_enum import (enumerate_cosets, pair_orbit_table, InternalError,
-                         DEFAULT_MAX_COSETS)
+from .coset_enum import enumerate_cosets, pair_orbit_table, DEFAULT_MAX_COSETS
 from .stringc import RegularGroup, dual
 from .analysis import FlagBound, analyze, flatness_spectrum
 from .constructions import (torus_kind, check_torus_params, torus_order,
                            certify)
-from .permgroup import word_image
 # unused here, but the benchmark's tracer installs spans at
 # chiral.coset_action and chiral.build_chain
 from .coset_enum import coset_action  # noqa: F401
@@ -116,10 +114,11 @@ def _mirror(m):
             *map(Word.gen, range(2, m))][:m]
 
 
-def _mirror_images(group):
-    """Candidate images of the generators under conjugation by the
-    missing mirror: the mirror substitution, evaluated."""
-    return [word_image(group.gens, w) for w in _mirror(len(group.gens))]
+def _mirror_words(group):
+    """The mirror substitution, on a rotation group's generators only."""
+    if not isinstance(group, RotationGroup):
+        raise ValueError(f"a {type(group).__name__} has no mirror image")
+    return _mirror(len(group.gens))
 
 
 def is_chiral(group):
@@ -131,24 +130,19 @@ def is_chiral(group):
     i.e. iff the regular cover has no more flags than the polytope.  It
     is then onto, hence bijective on a finite group: the mirror images
     always generate G (see the module docstring).  Only the generators
-    are read, so sections work too.
+    are read, so sections work too; a string group raises ValueError.
     """
     return mixed_regular_cover_flags(group) != group.flag_count()
 
 
-def enantiomorph(group, max_cosets=DEFAULT_MAX_COSETS):
-    """The mirror-image rotation group, built from the substituted
-    presentation.  Isomorphic to the original as an abstract group; the
-    polytopes differ exactly when the group is chiral."""
-    if group.pres is None:
-        raise ValueError("a section has no presentation to mirror")
-    images = _mirror(group.pres.num_generators)
-    pres = replace(group.pres, relators=tuple(
-        w.substitute(images) for w in group.pres.relators))
-    out = build_rotation_group(pres, max_cosets)
-    if out.order != group.order:  # an automorphism of the free group
-        raise InternalError("mirror image changed the group order")
-    return out
+def enantiomorph(group):
+    """The mirror-image rotation group: G on its mirror images, with the
+    substituted presentation if G has one (a section has none, nor then
+    a table).  Isomorphic to G; the polytopes differ iff G is chiral."""
+    words = _mirror_words(group)
+    pres = group.pres and replace(group.pres, relators=tuple(
+        w.substitute(words) for w in group.pres.relators))
+    return group.on_words(words, pres)
 
 
 def mix_order(g, h):
@@ -203,13 +197,11 @@ def mixed_regular_cover_flags(group):
     """Flag count of the smallest regular polytope covering this one:
     twice the order of the mix with the enantiomorph, 2 |G| |K|.
 
-    The enantiomorph is G under the mirror images, so the mix is taken
-    on G's points with no second enumeration: like a section, the mirror
-    holds no presentation and no table.  K is trivial, and the cover is
-    the polytope itself, exactly when G is regular.
+    The enantiomorph is G on the mirror images, with no table, so the mix
+    is taken on G's points with no second enumeration.  K is trivial, and
+    the cover is the polytope itself, exactly when G is regular.
     """
-    mirror = RotationGroup(None, _mirror_images(group))
-    return 2 * mix_order(group, mirror)
+    return 2 * mix_order(group, group.on_words(_mirror_words(group)))
 
 
 # profile -> rank -> bound, below the ranks where the closed forms hold

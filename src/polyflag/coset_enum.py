@@ -158,6 +158,15 @@ class CosetTable:
             coset = self.columns[col][coset]
         return coset
 
+    def column(self, word):
+        """The word's image of every coset: its letters' columns folded
+        from the first, so a one-letter word's column is the table's own."""
+        cols = word_to_columns(word)
+        out = self.columns[cols[0]] if cols else tuple(range(self.num_cosets))
+        for x in cols[1:]:
+            out = tuple(map(self.columns[x].__getitem__, out))
+        return out
+
 
 class _Enumerator:
     def __init__(self, ncols, relators, max_cosets):

@@ -12,7 +12,8 @@ of the trivial coset under its generators, so subgroup orders and
 pairwise intersections are plain orbit computations, cached per set of
 generating words.  RegularGroup holds that representation and cache for
 string groups and rotation groups alike, and only its from_table gives a
-group the table its generators act by.
+group the table its generators act by.  RegularGroup.on_words derives
+one group from another: a section, the dual or the mirror image.
 """
 
 from __future__ import annotations
@@ -131,6 +132,18 @@ class RegularGroup:
                 orbit([word_image(self.gens, w) for w in key], 0))
         return found
 
+    def on_words(self, words, pres=None):
+        """The same class on the words' images, acting on the same points.
+        With no presentation it has no table (a section, a mirror); given
+        the images' own (a dual's, an enantiomorph's), it is from_table of
+        the words' columns of this table, once proved against it."""
+        if pres is None:
+            return type(self)(None, [word_image(self.gens, w) for w in words])
+        cols = [self.table.column(x) for w in words for x in (w, w.inverse())]
+        table = replace(self.table, columns=tuple(cols))
+        prove_table(pres, table)
+        return type(self).from_table(pres, table)
+
     def section(self, lo, hi):
         """Gamma_{lo..hi}, the section of ranks lo..hi, of rank hi - lo + 1:
         the same class on the generators those ranks span (one rank of a
@@ -139,7 +152,7 @@ class RegularGroup:
         if not 0 <= lo < stop <= len(self.gens):
             raise ValueError(f"need ranks 0 <= lo <= hi < {self.rank} "
                              f"spanning a generator, got ({lo}, {hi})")
-        return type(self)(None, self.gens[lo:stop])
+        return self.on_words(map(Word.gen, range(lo, stop)))
 
     def schlafli_symbol(self):
         """Orders of the rotations, computed once per group: the action
@@ -207,25 +220,17 @@ def build_string_group(pres, max_cosets=DEFAULT_MAX_COSETS):
 def dual(group):
     """The dual's group, string or rotation: generator i of the dual is
     generator n-1-i inverted, so s_1..s_m become s_m^-1..s_1^-1 and a
-    string of reflections is just reversed.  No re-enumeration: the
-    columns of the regular action are taken in reverse order (column x
-    becomes 2n-1-x), the table is proved against the relators, each
-    rewritten as its inverse in the new generators, and from_table runs
-    the shape check.  A section has neither presentation nor table, so
-    its dual is just the reversed, inverted generators.  dual(dual(g))
-    equals g.
-    """
-    if group.pres is None:
-        return type(group)(None, [g.inverse() for g in reversed(group.gens)])
-    pres, n = group.pres, group.pres.num_generators
-    sym = pres.declared_schlafli
-    relabel = [Word.gen(n - 1 - g).inverse() for g in range(n)]
-    relators = tuple(w.substitute(relabel).inverse() for w in pres.relators)
-    new_pres = replace(pres, relators=relators,
-                       declared_schlafli=sym and tuple(reversed(sym)))
-    table = replace(group.table, columns=group.table.columns[::-1])
-    prove_table(new_pres, table)
-    return type(group).from_table(new_pres, table)
+    string of reflections is just reversed.  It is group.on_words of
+    those words and the relators, each rewritten as its inverse in them
+    (none for a section): column x of the table is column 2n-1-x of the
+    group's, not a copy.  dual(dual(g)) equals g."""
+    n, pres = len(group.gens), group.pres
+    words = [Word.gen(n - 1 - g).inverse() for g in range(n)]
+    sym = pres and pres.declared_schlafli
+    pres = pres and replace(pres, relators=tuple(
+        w.substitute(words).inverse() for w in pres.relators),
+        declared_schlafli=sym and tuple(reversed(sym)))
+    return group.on_words(words, pres)
 
 
 def _witness_scan(group):

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,7 @@ from polyflag.coset_enum import (CosetLimitExceeded, InternalError,
                                  enumerate_cosets, pair_orbit_table)
 from polyflag.analysis import (FlagBound, analyze, f_vector, flatness_spectrum,
                                is_tight)
-from polyflag import chiral
+from polyflag import chiral, coset_enum, stringc
 from polyflag.corpus import load_entry
 from polyflag.permgroup import orbit, word_image
 from polyflag.stringc import (dual, intersection_condition_exhaustive,
@@ -27,6 +28,8 @@ from polyflag.chiral import (
     chiral_lower_bound, StructureFacts, structure_constraint_audit,
     rotation_torus_map, chiral_report, _mirror,
 )
+
+from oracles import standardize
 
 
 def rot338():
@@ -182,12 +185,6 @@ def test_enantiomorph_relators_match_the_letter_loop(built_groups):
             [w.letters for w in mirrored]
 
 
-def test_enantiomorph_takes_the_coset_cap():
-    with pytest.raises(CosetLimitExceeded) as info:
-        enantiomorph(rotation_torus_map("44", 1, 2), max_cosets=10)
-    assert info.value.max_cosets == 10
-
-
 def test_enantiomorph_preserves_order_and_chirality():
     group = rotation_torus_map("44", 1, 2)
     mirror = enantiomorph(group)
@@ -301,21 +298,34 @@ def _mirror_oracle_groups():
     return groups
 
 
+def _enumerated_mirror(group):
+    """The enantiomorph built independently: the mirrored presentation,
+    its relators rewritten by the letter loop, enumerated afresh."""
+    mirrored = tuple(map(reference_mirror_word, group.pres.relators))
+    return build_rotation_group(replace(group.pres, relators=mirrored))
+
+
 def test_cover_matches_the_enumerated_enantiomorph():
     # the enantiomorph's group is G under the mirror images; enumerating
-    # the mirrored presentation instead must give the same mix
+    # the mirrored presentation instead must give the same mix, and the
+    # table read off G must be that enumeration's up to renumbering
     # the whole-slice section is the same group with no presentation
-    for label, group in _mirror_oracle_groups():
-        expected = 2 * mix_order(group, enantiomorph(group))
+    groups = _mirror_oracle_groups()
+    assert len(groups) == 99
+    for label, group in groups:
+        reference = _enumerated_mirror(group)
+        expected = 2 * mix_order(group, reference)
         assert mixed_regular_cover_flags(group) == expected, label
         whole = group.section(0, group.rank - 1)
         assert mixed_regular_cover_flags(whole) == expected, label
+        assert (standardize(enantiomorph(group).table)
+                == standardize(reference.table)), label
 
 
 def _relator_image_chirality(group):
     """Chirality as first defined: some relator image under the mirror
     images is not the identity, or the images fail to generate G."""
-    images = chiral._mirror_images(group)
+    images = [word_image(group.gens, w) for w in _mirror(len(group.gens))]
     for w in group.pres.relators:
         if not word_image(images, w).is_identity():
             return True
@@ -344,24 +354,59 @@ def test_chiral_report_enumerates_no_second_group(monkeypatch):
     assert payload["mixed_cover_flags"] == 200
 
 
-def test_enantiomorph_of_a_section_names_the_missing_presentation():
-    with pytest.raises(ValueError, match="presentation"):
-        enantiomorph(rot338().section(0, 1))
+def test_enantiomorph_of_a_section_is_the_section_of_the_enantiomorph():
+    # a section has no presentation, so its mirror image has none and no
+    # table; it is the facet of the enantiomorph all the same
+    group = rot338()
+    n = group.rank
+    mirror = enantiomorph(group.section(0, n - 2))
+    assert mirror.pres is None and mirror.table is None
+    assert mirror.gens == enantiomorph(group).section(0, n - 2).gens
 
 
-def test_enantiomorph_order_change_raises(monkeypatch):
-    group = rotation_torus_map("44", 1, 2)
-    build = chiral.build_rotation_group
+def test_a_wrong_mirror_fails_the_table_proof(monkeypatch):
+    # s2 -> s1 s2 with s1 fixed is no involution, so the relators it
+    # rewrites do not close on the images it evaluates
+    s1, s2 = Word.gen(0), Word.gen(1)
+    monkeypatch.setattr(chiral, "_mirror", lambda m: [s1, s1 * s2][:m])
+    with pytest.raises(InternalError, match="does not close"):
+        enantiomorph(rotation_torus_map("44", 1, 2))
 
-    def shrunk(pres, max_cosets):
-        out = build(pres, max_cosets)
-        out.order -= 1
-        return out
 
-    monkeypatch.setattr(chiral, "build_rotation_group", shrunk)
-    with pytest.raises(InternalError,
-                       match="mirror image changed the group order"):
-        enantiomorph(group)
+def test_string_groups_have_no_mirror_image():
+    # the mirror substitution conjugates by a missing reflection; a
+    # string group has every reflection, so it is refused by name
+    group = coxeter(4, 3)
+    for derive in (is_chiral, mixed_regular_cover_flags, enantiomorph):
+        with pytest.raises(ValueError, match="StringGroup"):
+            derive(group)
+
+
+def test_derived_groups_enumerate_nothing(monkeypatch):
+    # sections, duals, mirrors and the cover are all read off the group
+    cube5 = make_presentation(ROTATION, 5, [4, 3, 3, 3])
+    groups = [rot338(), rotation_torus_map("44", 1, 2),
+              build_rotation_group(cube5)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a derived group was enumerated")
+
+    for module, name in ((coset_enum, "enumerate_cosets"),
+                         (stringc, "enumerate_cosets"),
+                         (chiral, "enumerate_cosets"),
+                         (chiral, "build_rotation_group"),
+                         (chiral, "pair_orbit_table"),
+                         (stringc, "flag_orbit_table")):
+        monkeypatch.setattr(module, name, refuse)
+    for group in groups:
+        n = group.rank
+        facet = group.section(0, n - 2)
+        assert dual(group).order == group.order
+        assert enantiomorph(group).order == group.order
+        assert enantiomorph(facet).order == facet.order
+        assert mixed_regular_cover_flags(group) >= group.flag_count()
+        is_chiral(group)
+        is_chiral(facet)
 
 
 def test_dual_rejects_a_table_its_relators_do_not_close():

@@ -22,7 +22,7 @@ from polyflag.stringc import (
 )
 from polyflag.chiral import (RotationGroup, RotationViolation,
                              build_rotation_group, rotation_torus_map,
-                             _mirror_images)
+                             _mirror)
 
 from oracles import standardize
 
@@ -474,7 +474,7 @@ def test_is_trivial_is_the_identity_test(built_groups, drawn):
         if m >= 2:
             groups += [group.section(0, top - 1), group.section(1, top)]
         if isinstance(group, RotationGroup):
-            groups.append(RotationGroup(None, _mirror_images(group)))
+            groups.append(group.on_words(_mirror(m)))
         for g in groups:
             n = len(g.gens)
             for ls in drawn:
@@ -492,3 +492,43 @@ def test_verdict_is_its_witness(built_groups):
         for verdict in (is_string_c_group(group),
                         intersection_condition_exhaustive(group)):
             assert bool(verdict) == verdict.ok == (verdict.witness is None)
+
+
+def test_dual_columns_are_the_groups_own():
+    # dual reads each column off the table, never copying one: column x
+    # of the dual is column 2n-1-x of the group
+    for group in (cox(4, 3, 3), rotation_torus_map("44", 1, 2)):
+        cols = group.table.columns
+        d = dual(group).table.columns
+        assert len(d) == len(cols)
+        for x, col in enumerate(d):
+            assert col is cols[len(cols) - 1 - x]
+
+
+def _drawn_word(letters, n):
+    return Word(tuple((g % n, e) for g, e in letters))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(words_drawn, min_size=1, max_size=4),
+       st.lists(words_drawn, min_size=1, max_size=4))
+def test_on_words_composes_as_substitution(drawn_us, drawn_vs):
+    for group in (cox(4, 3), rotation_torus_map("44", 1, 2)):
+        us = [_drawn_word(ls, len(group.gens)) for ls in drawn_us]
+        vs = [_drawn_word(ls, len(us)) for ls in drawn_vs]
+        twice = group.on_words(us).on_words(vs)
+        once = group.on_words([v.substitute(us) for v in vs])
+        assert twice.gens == once.gens
+        assert type(twice) is type(once) is type(group)
+
+
+@settings(max_examples=40, deadline=None)
+@given(words_drawn)
+def test_column_is_the_trace_of_every_coset(letters):
+    for group in (cox(4, 3), rotation_torus_map("44", 1, 2)):
+        table = group.table
+        w = _drawn_word(letters, table.num_generators)
+        col = table.column(w)
+        assert len(col) == table.num_cosets
+        assert all(col[c] == table.trace(c, w)
+                   for c in range(table.num_cosets))

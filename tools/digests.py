@@ -30,11 +30,14 @@ rotation-44-2-0 and on the rotation groups of {3,3,3,3} and {4,3,3,3};
 rotation torus maps (each built by ``build_rotation_group``: through
 the pair orbit of ``pair_orbit_table``, as the dual of a {3,6} map, or
 by the plain enumeration a degenerate torus, like rotation-44-2-0,
-falls back to); and the ``dual`` of corpus groups.  Each of these lines
+falls back to); the ``dual`` of corpus groups; and the ``enantiomorph``
+of a corpus rotation group and of two chiral tori.  Each of these lines
 digests the table's standard form, a breadth-first renumbering from
 point 0 that reads each point's images column by column, so it names
 the group's action whichever route built it and however that route
-numbers points.
+numbers points: two regular actions of one presentation standardize
+alike, so an enantiomorph read off its group's table and one enumerated
+from the mirrored presentation give the same line.
 
 Run it on two checkouts (say, a ``git archive`` of the parent commit and
 the working tree) and diff the output: a change that keeps every report
@@ -114,7 +117,8 @@ CASES = (
 # symbol, a rotation is build_rotation_group of the corpus entry or the
 # symbol's rotation presentation, a torus map is
 # rotation_torus_map(*arguments), a dual is dual() of the corpus group of
-# that name
+# that name, an enantiomorph is enantiomorph() of the corpus rotation
+# group of that name or of rotation_torus_map(*arguments)
 GROUP_CASES = (
     ("build [3,3,5]", "build", ((3, 3, 5),)),
     ("build [4,3,3,3,3]", "build", ((4, 3, 3, 3, 3),)),
@@ -129,6 +133,9 @@ GROUP_CASES = (
     ("torus 44 2 0", "torus", ("44", 2, 0)),  # enumeration fallback
     ("dual corpus cube-5", "dual", ("cube-5",)),
     ("dual corpus rotation-338", "dual", ("rotation-338",)),
+    ("enantiomorph corpus rotation-338", "enantiomorph", ("rotation-338",)),
+    ("enantiomorph torus 44 1 2", "enantiomorph", ("44", 1, 2)),
+    ("enantiomorph torus 36 2 3", "enantiomorph", ("36", 2, 3)),
 )
 
 
@@ -169,7 +176,8 @@ def print_table_digests(root):
     sys.path.insert(0, str(root / "src"))
     from polyflag.corpus import load_entry
     from polyflag.coset_enum import CosetLimitExceeded, enumerate_cosets
-    from polyflag.chiral import build_rotation_group, rotation_torus_map
+    from polyflag.chiral import (build_rotation_group, enantiomorph,
+                                 rotation_torus_map)
     from polyflag.presentation import (REFLECTION, ROTATION,
                                        make_presentation, parse_presentation)
     from polyflag.stringc import build_string_group, dual
@@ -202,8 +210,14 @@ def print_table_digests(root):
                 make_presentation(ROTATION, len(source) + 1, source))
         return build_rotation_group(pres)
 
+    def mirror_of(*source):
+        group = (rotation_build(*source) if len(source) == 1
+                 else rotation_torus_map(*source))
+        return enantiomorph(group)
+
     routes = {"build": coxeter_build, "rotation": rotation_build,
-              "torus": rotation_torus_map, "dual": corpus_dual}
+              "torus": rotation_torus_map, "dual": corpus_dual,
+              "enantiomorph": mirror_of}
     for label, route, arguments in GROUP_CASES:
         table = routes[route](*arguments).table
         action = json.dumps(standard_rows(table.columns)).encode()
