@@ -23,7 +23,7 @@ scan loop does not read them.
 
 The table is column-major: ``cols[x][c]`` is the image of coset c under
 column x (generator g forward is 2g, inverse 2g+1), and the finished
-CosetTable keeps this layout, one tuple per column.  Each relator is
+CosetTable keeps this layout as read-only int32 arrays.  Each relator is
 bound to the tuple of the columns its letters read, and of their mirrors,
 so one scan step is one list subscript.  Coset c is dead once
 ``parent[c] != c``; its entries are cleared when its coincidence is
@@ -127,17 +127,28 @@ def _cyclic_reduce(cols):
     return tuple(cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetTable:
     """Completed action of the generators on the cosets of a subgroup.
 
     ``columns[2g][c]`` is the image of coset c under generator g and
-    ``columns[2g + 1][c]`` its image under the inverse; every entry is
-    filled, and coset 0 is the subgroup itself.  ``action`` is the same
-    table read by rows: ``action[c][x] == columns[x][c]``.
+    ``columns[2g + 1][c]`` under its inverse, each a read-only int32
+    array; every entry is filled, coset 0 is the subgroup itself, and
+    ``action`` is the rows as one array: ``action[c][x] == columns[x][c]``.
     """
 
     columns: tuple
+
+    def __post_init__(self):
+        for col in self.columns:
+            col.flags.writeable = False
+
+    def __eq__(self, other):
+        return (isinstance(other, CosetTable)
+                and len(self.columns) == len(other.columns)
+                and all(map(np.array_equal, self.columns, other.columns)))
+
+    __hash__ = None
 
     @property
     def num_generators(self):
@@ -149,22 +160,23 @@ class CosetTable:
 
     @property
     def action(self):
-        return tuple(zip(*self.columns))
+        return np.stack(self.columns, axis=1)
 
     def trace(self, coset, word):
         if not 0 <= coset < self.num_cosets:
             raise IndexError(f"coset {coset} out of range")
         for col in word_to_columns(word):
             coset = self.columns[col][coset]
-        return coset
+        return int(coset)
 
     def column(self, word):
-        """The word's image of every coset: its letters' columns folded
+        """The word's image of every coset: its letters' columns gathered
         from the first, so a one-letter word's column is the table's own."""
         cols = word_to_columns(word)
-        out = self.columns[cols[0]] if cols else tuple(range(self.num_cosets))
+        out = (self.columns[cols[0]] if cols
+               else np.arange(self.num_cosets, dtype=np.int32))
         for x in cols[1:]:
-            out = tuple(map(self.columns[x].__getitem__, out))
+            out = self.columns[x][out]
         return out
 
 
@@ -424,7 +436,7 @@ def enumerate_cosets(pres, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
     enum = _Enumerator(2 * pres.num_generators, _relator_columns(pres),
                        max_cosets)
     enum.run([word_to_columns(w) for w in subgroup_words])
-    table = CosetTable(tuple(map(tuple, enum.cols)))
+    table = CosetTable(tuple(np.array(enum.cols, dtype=np.int32)))
     del enum  # free the working table before the proof allocates arrays
     prove_table(pres, table, subgroup_words)
     return table
@@ -469,10 +481,10 @@ def pair_orbit_table(pres, max_cosets=DEFAULT_MAX_COSETS):
         return None
     cosets = enumerate_cosets(pres, (Word.gen(1),), max_cosets)
     m = cosets.num_cosets
-    start = cosets.columns[0][0]  # H s1
+    start = cosets.trace(0, Word.gen(0))  # H s1
     index = {start: 0}  # point (a, b) is keyed a * m + b
     points = [(0, start)]
-    columns = [(col, []) for col in cosets.columns]
+    columns = [(col.tolist(), []) for col in cosets.columns]
     for a, b in points:  # the list grows while it is walked
         for col, out in columns:
             x, y = col[a], col[b]
@@ -486,7 +498,7 @@ def pair_orbit_table(pres, max_cosets=DEFAULT_MAX_COSETS):
             out.append(p)
     if len(points) < math.gcd(*powers) * m:
         return None
-    table = CosetTable(tuple(tuple(out) for _, out in columns))
+    table = CosetTable(tuple(np.array([out for _, out in columns], np.int32)))
     prove_table(pres, table)
     return table
 
@@ -515,7 +527,7 @@ def flag_orbit_table(pres, max_cosets=DEFAULT_MAX_COSETS):
     generator is an involution, its own inverse, so an image of layer L
     lies in layer L-1, L or L+1, and new points are found by matching
     each layer's images against those two layers only; one column per
-    generator is walked, and its tuple is the inverse column too.  This
+    generator is walked, and its row is the inverse column too.  This
     pays on these wide, shallow orbits; ``pair_orbit_table`` walks its
     thin, deep torus orbits in plain Python, where a numpy call per
     layer costs more than it saves.
@@ -533,7 +545,7 @@ def flag_orbit_table(pres, max_cosets=DEFAULT_MAX_COSETS):
               for i in range(n)]
     radices = [t.num_cosets for t in tables]
     # images[i][g][c]: coset c of G_i under generator g
-    images = [np.array(t.columns[::2], dtype=np.int64) for t in tables]
+    images = [np.stack(t.columns[::2]) for t in tables]
     before = np.empty((0, n), dtype=np.int64)  # layer L-1, as rows
     layer = np.zeros((1, n), dtype=np.int64)   # layer L, from point `start`
     start = 0
@@ -561,13 +573,8 @@ def flag_orbit_table(pres, max_cosets=DEFAULT_MAX_COSETS):
     if start != order:
         raise InternalError(f"the base flag's orbit has {start} points,"
                             f" not the group order {order}")
-    ids = list(range(start))  # one int object per point, shared by columns
-    columns = []
-    # a row per generator, converted one at a time to keep RSS low
-    for row in np.concatenate(found).T:
-        col = tuple(map(ids.__getitem__, row.tolist()))
-        columns += (col, col)
-    table = CosetTable(tuple(columns))
+    rows = np.array(np.concatenate(found).T, dtype=np.int32, order="C")
+    table = CosetTable(tuple(col for row in rows for col in (row, row)))
     prove_table(pres, table)
     return table
 
@@ -596,10 +603,11 @@ def _table_fault(table, relators, subgroup_words=()):
     letter.
     """
     n = table.num_cosets
-    cols = np.array(table.columns, dtype=np.int32)
-    if cols.min() < 0 or cols.max() >= n:
-        bad = np.argwhere(((cols < 0) | (cols >= n)).T)
-        return "incomplete table at ({}, {})".format(*bad[0])
+    cols = table.columns
+    for x, col in enumerate(cols):
+        bad = np.flatnonzero((col < 0) | (col >= n))
+        if bad.size:
+            return f"incomplete table at ({bad[0]}, {x})"
     cosets = np.arange(n, dtype=np.int32)
     for x, col in enumerate(cols):
         bad = np.flatnonzero(cols[x ^ 1][col] != cosets)
@@ -619,7 +627,8 @@ def _table_fault(table, relators, subgroup_words=()):
 
 def prove_table(pres, table, subgroup_words=()):
     """Prove the table before it is handed out: raise InternalError
-    naming the first fault _table_fault finds against ``pres``."""
+    naming the first fault _table_fault finds against ``pres``.  This
+    shows a G-action; transitivity and |G| <= n come from the route."""
     fault = _table_fault(table, _relator_columns(pres), subgroup_words)
     if fault is not None:
         raise InternalError(fault)

@@ -29,9 +29,9 @@ class DegreeMismatch(Exception):
 
 
 class Perm:
-    """A permutation of {0, ..., n-1}, stored as an image array."""
+    """A permutation of {0, ..., n-1}, as a read-only int32 image array."""
 
-    __slots__ = ("images", "_key")
+    __slots__ = ("images",)
 
     def __init__(self, images):
         arr = np.asarray(images, dtype=np.int32)
@@ -46,7 +46,8 @@ class Perm:
             raise ValueError("images are not a bijection")
         arr.flags.writeable = False
         self.images = arr
-        self._key = arr.tobytes()
+
+    _key = property(lambda self: self.images.tobytes())
 
     @staticmethod
     def identity(degree):
@@ -133,13 +134,13 @@ def orbit(gens, start):
             raise DegreeMismatch("generators act on different degrees")
     if degree is not None and not 0 <= start < degree:
         raise IndexError(f"point {start} outside degree {degree}")
-    images = [g.images for g in gens]
+    images = [memoryview(g.images) for g in gens]
     seen = {start}
     frontier = [start]
     while frontier:
         p = frontier.pop()
         for img in images:
-            q = int(img[p])
+            q = img[p]
             if q not in seen:
                 seen.add(q)
                 frontier.append(q)
@@ -304,11 +305,8 @@ def intersect_subgroups(pres, h_words, k_words,
     t_h = enumerate_cosets(pres, h_words, max_cosets)
     t_reg = enumerate_cosets(pres, (), max_cosets)
 
-    def table_perm(table, word):
-        return Perm([table.trace(c, word) for c in range(table.num_cosets)])
-
-    k_action = [table_perm(t_h, w) for w in k_words]
-    k_reg = [table_perm(t_reg, w) for w in k_words]
+    k_action = [Perm(t_h.column(w)) for w in k_words]
+    k_reg = [Perm(t_reg.column(w)) for w in k_words]
 
     identity = Perm.identity(t_reg.num_cosets)
     reps = {0: identity}

@@ -136,10 +136,18 @@ class RegularGroup:
         """The same class on the words' images, acting on the same points.
         With no presentation it has no table (a section, a mirror); given
         the images' own (a dual's, an enantiomorph's), it is from_table of
-        the words' columns of this table, once proved against it."""
+        the words' columns of this table once proved and seen transitive."""
         if pres is None:
             return type(self)(None, [word_image(self.gens, w) for w in words])
         cols = [self.table.column(x) for w in words for x in (w, w.inverse())]
+        seen = layer = np.arange(self.order) == 0
+        while layer.any():  # breadth-first, one boolean mask per layer
+            hit = np.concatenate([col[layer] for col in cols[::2]])
+            layer = (np.bincount(hit, minlength=self.order) > 0) & ~seen
+            seen |= layer
+        if not seen.all():
+            raise ValueError(f"the words generate {seen.sum()} of"
+                             f" {self.order} points")
         table = replace(self.table, columns=tuple(cols))
         prove_table(pres, table)
         return type(self).from_table(pres, table)

@@ -5,6 +5,7 @@ import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
@@ -438,7 +439,7 @@ def test_rotation_double_dual_identity(build):
     group = build()
     dd = dual(dual(group))
     assert dd.pres == group.pres
-    assert dd.table.action == group.table.action
+    assert np.array_equal(dd.table.action, group.table.action)
     assert [g.images.tolist() for g in dd.gens] == [
         g.images.tolist() for g in group.gens]
 

@@ -4,6 +4,7 @@ import itertools
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +13,8 @@ from polyflag.corpus import corpus_names, load_entry
 from polyflag import coset_enum
 from polyflag.coset_enum import (CosetLimitExceeded, CoxeterLimitExceeded,
                                  InternalError, coset_action,
-                                 enumerate_cosets, flag_orbit_table)
+                                 enumerate_cosets, flag_orbit_table,
+                                 pair_orbit_table)
 from polyflag.permgroup import orbit, word_image
 from polyflag.presentation import (Word, Presentation, make_presentation,
                                    REFLECTION, ROTATION, coxeter_order)
@@ -22,7 +24,7 @@ from polyflag.stringc import (
 )
 from polyflag.chiral import (RotationGroup, RotationViolation,
                              build_rotation_group, rotation_torus_map,
-                             _mirror)
+                             enantiomorph, _mirror)
 
 from oracles import standardize
 
@@ -89,7 +91,8 @@ def test_flag_orbit_is_the_standard_regular_action(symbol):
     order = coxeter_order(symbol)
     pres = make_presentation(REFLECTION, len(symbol) + 1, symbol)
     group = build_string_group(pres, max_cosets=order)
-    assert group.table.columns == standardize(enumerate_cosets(pres))
+    assert np.array_equal(group.table.columns,
+                          standardize(enumerate_cosets(pres)))
     with pytest.raises(CoxeterLimitExceeded):
         build_string_group(pres, max_cosets=order - 1)
 
@@ -324,7 +327,7 @@ def test_double_dual_identity():
     group = cox(4, 3, 3)
     dd = dual(dual(group))
     assert dd.pres == group.pres
-    assert dd.table.action == group.table.action
+    assert np.array_equal(dd.table.action, group.table.action)
     assert [g.images.tolist() for g in dd.gens] == [
         g.images.tolist() for g in group.gens]
 
@@ -503,6 +506,48 @@ def test_dual_columns_are_the_groups_own():
         assert len(d) == len(cols)
         for x, col in enumerate(d):
             assert col is cols[len(cols) - 1 - x]
+
+
+def _from_route(cls, route, source):
+    pres = (load_entry(source)[0] if isinstance(source, str)
+            else make_presentation(REFLECTION, len(source) + 1, source))
+    return cls.from_table(pres, route(pres))
+
+
+# each route to a table, taken explicitly, and the two derived tables
+TABLE_ROUTES = {
+    "flag-walk": lambda: _from_route(StringGroup, flag_orbit_table,
+                                     [4, 3, 3]),
+    "enumeration": lambda: _from_route(StringGroup, enumerate_cosets,
+                                       "hemi-icosahedron"),
+    "pair-walk": lambda: _from_route(RotationGroup, pair_orbit_table,
+                                     "rotation-44-1-2"),
+    "dual": lambda: dual(cox(4, 3, 3)),
+    "enantiomorph": lambda: enantiomorph(rotation_torus_map("44", 1, 2)),
+}
+
+
+@pytest.mark.parametrize("route", TABLE_ROUTES)
+def test_generators_are_views_of_the_table(route):
+    # one store: every column is a read-only int32 row, and each
+    # generator's permutation wraps its forward column without a copy
+    group = TABLE_ROUTES[route]()
+    for col in group.table.columns:
+        assert isinstance(col, np.ndarray)
+        assert col.dtype == np.int32 and col.ndim == 1
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = col[0]
+    for i, gen in enumerate(group.gens):
+        assert np.shares_memory(gen.images, group.table.columns[2 * i])
+
+
+def test_on_words_refuses_words_that_miss_points():
+    # the table proof shows an action of the presented group, not that
+    # the words generate G: s1 alone reaches 4 of the torus's 20 flags
+    group = rotation_torus_map("44", 1, 2)
+    with pytest.raises(ValueError, match="generate 4 of 20 points"):
+        group.on_words([Word.gen(0)], make_presentation(ROTATION, 2, [4]))
 
 
 def _drawn_word(letters, n):

@@ -22,7 +22,9 @@ the first 16 hex digits of the SHA-256 of its stdout and of its stderr.
 Then it imports ``polyflag`` from ``CHECKOUT/src`` and enumerates a
 fixed set of presentations over the trivial subgroup.  Each line gives
 the label, the coset cap, and either the coset count with the first 16
-hex digits of ``sha256(json.dumps(table.action))`` or the high-water
+hex digits of the SHA-256 of the table's rows as JSON lists (``action``
+read through ``np.asarray(...).tolist()``, the same JSON whether a
+checkout's tables hold tuples or arrays) or the high-water
 mark of the ``CosetLimitExceeded`` it raised.  Last come the tables of
 groups: ``build_string_group`` on [3,3,5] and [4,3,3,3,3];
 ``build_rotation_group`` on the corpus entries rotation-338 and
@@ -54,6 +56,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 CONSTRUCT = (
     "torus44 1 2", "torus44 2 1", "torus44 3 5", "torus44 2 0",
@@ -192,7 +196,7 @@ def print_table_digests(root):
         except CosetLimitExceeded as exc:
             outcome = f"limit high_water={exc.high_water}"
         else:
-            action = json.dumps(table.action).encode()
+            action = json.dumps(np.asarray(table.action).tolist()).encode()
             outcome = f"{table.num_cosets} {digest(action)}"
         print(f"{label}\tcap {cap}\t{outcome}")
 
@@ -220,7 +224,8 @@ def print_table_digests(root):
               "enantiomorph": mirror_of}
     for label, route, arguments in GROUP_CASES:
         table = routes[route](*arguments).table
-        action = json.dumps(standard_rows(table.columns)).encode()
+        columns = np.asarray(table.action).T.tolist()
+        action = json.dumps(standard_rows(columns)).encode()
         print(f"{label}\t{table.num_cosets} {digest(action)}")
 
 
